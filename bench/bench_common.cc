@@ -12,6 +12,41 @@
 namespace mixtlb::bench
 {
 
+void
+addProcessStats(const stats::StatGroup &root,
+                const std::vector<std::string> &procs, RunResult &result)
+{
+    for (const auto &prefix : procs) {
+        result.thpFallbacks += root.value(prefix + ".thp_fallbacks");
+        result.demotions += root.value(prefix + ".demotions");
+        result.reclaims += root.value(prefix + ".reclaims");
+        result.repromotions += root.value(prefix + ".repromotions");
+        result.oomRetries += root.value(prefix + ".oom_retries");
+        result.demoteRescues += root.value(prefix + ".demote_rescues");
+        result.compactionRescues +=
+            root.value(prefix + ".compaction_rescues");
+    }
+}
+
+void
+summarize(const stats::StatGroup &root,
+          const std::vector<std::string> &procs,
+          const std::vector<const tlb::TlbHierarchy *> &hiers,
+          RunResult &result)
+{
+    addProcessStats(root, procs, result);
+    double accesses = 0, l1_hits = 0, walks = 0, walk_accesses = 0;
+    for (const auto *hier : hiers) {
+        accesses += hier->accessCount();
+        l1_hits += hier->l1HitCount();
+        walks += hier->walkCount();
+        walk_accesses += hier->walkAccessCount();
+    }
+    result.l1MissRate = 1.0 - l1_hits / accesses;
+    result.walksPerKref = 1000.0 * walks / accesses;
+    result.accessesPerWalk = walks > 0 ? walk_accesses / walks : 0.0;
+}
+
 RunResult
 runGpu(const GpuRunConfig &config)
 {
@@ -51,17 +86,11 @@ runGpu(const GpuRunConfig &config)
         gpu_system.invalidatePage(vbase, size);
     });
 
-    // Input upload: ascending first-touch through rotating cores.
     VAddr base = proc.mmap(config.footprintBytes);
-    for (VAddr va = base; va < base + config.footprintBytes;
-         va += PageBytes4K) {
-        gpu_system.core((va >> PageShift4K) % config.cores)
-            .access(va, true);
-    }
-    double warm_fallbacks =
-        root.scalar("proc.thp_fallbacks").value();
+    gpu_system.warmup(base, config.footprintBytes);
+    const std::vector<std::string> procs{"proc"};
     RunResult result;
-    addLifecycleStats(root, "proc", result);
+    addProcessStats(root, procs, result);
     root.resetStats();
 
     std::vector<std::unique_ptr<workload::TraceGenerator>> gens;
@@ -76,50 +105,22 @@ runGpu(const GpuRunConfig &config)
         contracts::AuditReport report("gpu");
         mem.audit(report);
         proc.audit(report);
-        l2->audit(report);
-        for (unsigned core = 0; core < config.cores; core++)
-            gpu_system.core(core).l1().audit(report);
         contracts::require(report);
     }
 
-    result.thpFallbacks =
-        warm_fallbacks + root.scalar("proc.thp_fallbacks").value();
-    addLifecycleStats(root, "proc", result);
-    double translation_cycles = 0, l1_hits = 0, accesses = 0;
-    double walks = 0, walk_accesses = 0, data_cycles = 0;
-    perf::EnergyInputs energy;
+    std::vector<const tlb::TlbHierarchy *> hiers;
+    double translation_cycles = 0, accesses = 0;
     for (unsigned core = 0; core < config.cores; core++) {
-        auto &hier = gpu_system.core(core);
+        const auto &hier = gpu_system.core(core);
+        hiers.push_back(&hier);
         translation_cycles += hier.translationCycleCount();
-        l1_hits += hier.l1HitCount();
         accesses += hier.accessCount();
-        walks += hier.walkCount();
-        walk_accesses += hier.walkAccessCount();
-        auto inputs = sim::harvestEnergyInputs(root, hier,
-                                               config.design, 0.0);
-        energy.l1WaysRead += inputs.l1WaysRead;
-        energy.l2WaysRead = inputs.l2WaysRead; // shared L2: same object
-        energy.l1Entries = inputs.l1Entries;
-        energy.l2Entries = inputs.l2Entries;
-        energy.l1Fills += inputs.l1Fills;
-        energy.l2Fills = inputs.l2Fills;
-        energy.walkAccesses += inputs.walkAccesses;
-        energy.walkDramAccesses += inputs.walkDramAccesses;
-        energy.dirtyOps += inputs.dirtyOps;
-        energy.invalidations += inputs.invalidations;
-        energy.predictorLookups += inputs.predictorLookups;
-        energy.skewTimestamps = inputs.skewTimestamps;
-        energy.fillBurstFactor = std::min(energy.fillBurstFactor,
-                                          inputs.fillBurstFactor);
     }
+    summarize(root, procs, hiers, result);
     result.metrics = perf::computeMetrics(
-        static_cast<std::uint64_t>(accesses), translation_cycles,
-        data_cycles);
-    energy.totalCycles = result.metrics.totalCycles;
-    result.energy = energy;
-    result.l1MissRate = 1.0 - l1_hits / accesses;
-    result.walksPerKref = 1000.0 * walks / accesses;
-    result.accessesPerWalk = walks > 0 ? walk_accesses / walks : 0.0;
+        static_cast<std::uint64_t>(accesses), translation_cycles, 0.0);
+    result.energy = sim::sumEnergyInputs(hiers, config.design,
+                                         result.metrics.totalCycles);
     result.distribution = os::scanDistribution(proc.pageTable());
     return result;
 }
@@ -156,21 +157,15 @@ runMulti(const MultiRunConfig &config)
              config.mix.c_str());
 
     std::vector<VAddr> bases;
+    std::vector<std::string> procs;
     for (unsigned i = 0; i < config.numProcs; i++) {
         bases.push_back(
             machine.mapArena(i, config.footprintPerProc));
         machine.warmup(i, bases[i], config.footprintPerProc);
+        procs.push_back("proc" + std::to_string(i));
     }
-    double warm_fallbacks = 0;
     RunResult result;
-    for (unsigned i = 0; i < config.numProcs; i++) {
-        warm_fallbacks += machine.root()
-                              .scalar("proc" + std::to_string(i)
-                                      + ".thp_fallbacks")
-                              .value();
-        addLifecycleStats(machine.root(),
-                          "proc" + std::to_string(i), result);
-    }
+    addProcessStats(machine.root(), procs, result);
     machine.startMeasurement();
     for (unsigned i = 0; i < config.numProcs; i++) {
         machine.attachWorkload(
@@ -181,26 +176,9 @@ runMulti(const MultiRunConfig &config)
     }
     machine.run(config.refsPerProc);
 
-    result.thpFallbacks = warm_fallbacks;
-    for (unsigned i = 0; i < config.numProcs; i++) {
-        result.thpFallbacks +=
-            machine.root()
-                .scalar("proc" + std::to_string(i)
-                        + ".thp_fallbacks")
-                .value();
-        addLifecycleStats(machine.root(),
-                          "proc" + std::to_string(i), result);
-    }
+    summarize(machine.root(), procs, {&machine.tlbs()}, result);
     result.metrics = machine.metrics();
     result.energy = machine.energyInputs();
-    auto &hier = machine.tlbs();
-    result.l1MissRate = 1.0 - hier.l1HitCount() / hier.accessCount();
-    result.walksPerKref =
-        1000.0 * hier.walkCount() / hier.accessCount();
-    result.accessesPerWalk =
-        hier.walkCount() > 0
-            ? hier.walkAccessCount() / hier.walkCount()
-            : 0.0;
     result.distribution = machine.distribution(0);
     for (unsigned i = 0; i < config.numProcs; i++)
         result.procL1MissRates.push_back(machine.procL1MissRate(i));

@@ -89,22 +89,23 @@ struct RunResult
 };
 
 /**
- * Accumulate the per-process lifecycle counters of stat group
- * @p prefix into @p result. Called once before startMeasurement() (the
- * reset would discard warmup-phase demotions) and once after the run.
+ * Add the THS fallbacks and lifecycle counters of the process stat
+ * groups @p procs to @p result. Called once before startMeasurement()
+ * (the reset would discard warmup-phase allocation and demotions) and
+ * once more, through summarize(), after the run.
  */
-inline void
-addLifecycleStats(stats::StatGroup &root, const std::string &prefix,
-                  RunResult &result)
-{
-    result.demotions += root.value(prefix + ".demotions");
-    result.reclaims += root.value(prefix + ".reclaims");
-    result.repromotions += root.value(prefix + ".repromotions");
-    result.oomRetries += root.value(prefix + ".oom_retries");
-    result.demoteRescues += root.value(prefix + ".demote_rescues");
-    result.compactionRescues +=
-        root.value(prefix + ".compaction_rescues");
-}
+void addProcessStats(const stats::StatGroup &root,
+                     const std::vector<std::string> &procs,
+                     RunResult &result);
+
+/**
+ * The summary every run kind shares, after the run: the processes'
+ * measured-phase stats, plus L1 miss and walk rates over @p hiers.
+ */
+void summarize(const stats::StatGroup &root,
+               const std::vector<std::string> &procs,
+               const std::vector<const tlb::TlbHierarchy *> &hiers,
+               RunResult &result);
 
 struct NativeRunConfig
 {
@@ -142,29 +143,18 @@ runNative(const NativeRunConfig &config)
 
     VAddr base = machine.mapArena(config.footprintBytes);
     machine.warmup(base, config.footprintBytes, config.warmStep);
-    double warm_fallbacks =
-        machine.root().scalar("proc.thp_fallbacks").value();
+    const std::vector<std::string> procs{"proc"};
     RunResult result;
-    addLifecycleStats(machine.root(), "proc", result);
+    addProcessStats(machine.root(), procs, result);
     machine.startMeasurement();
     auto gen = workload::makeGenerator(config.workload, base,
                                        config.footprintBytes,
                                        config.seed);
     machine.run(*gen, config.refs);
 
-    addLifecycleStats(machine.root(), "proc", result);
-    result.thpFallbacks =
-        warm_fallbacks
-        + machine.root().scalar("proc.thp_fallbacks").value();
+    summarize(machine.root(), procs, {&machine.tlbs()}, result);
     result.metrics = machine.metrics();
     result.energy = machine.energyInputs();
-    auto &hier = machine.tlbs();
-    result.l1MissRate = 1.0 - hier.l1HitCount() / hier.accessCount();
-    result.walksPerKref = 1000.0 * hier.walkCount() / hier.accessCount();
-    result.accessesPerWalk =
-        hier.walkCount() > 0
-            ? hier.walkAccessCount() / hier.walkCount()
-            : 0.0;
     result.distribution = machine.distribution();
     return result;
 }
@@ -223,20 +213,16 @@ runVirt(const VirtRunConfig &config)
             ? config.footprintBytes
             : pressureFootprint(guest_mem, config.guestMemhog);
     std::vector<VAddr> bases;
+    std::vector<std::string> procs;
+    std::vector<const tlb::TlbHierarchy *> hiers;
     for (unsigned vm = 0; vm < config.numVms; vm++) {
         bases.push_back(machine.mapArena(vm, footprint));
         machine.warmup(vm, bases[vm], footprint);
+        procs.push_back("guest" + std::to_string(vm));
+        hiers.push_back(&machine.tlbs(vm));
     }
-    double warm_fallbacks = 0;
     RunResult result;
-    for (unsigned vm = 0; vm < config.numVms; vm++) {
-        warm_fallbacks += machine.root()
-                              .scalar("guest" + std::to_string(vm)
-                                      + ".thp_fallbacks")
-                              .value();
-        addLifecycleStats(machine.root(),
-                          "guest" + std::to_string(vm), result);
-    }
+    addProcessStats(machine.root(), procs, result);
     machine.startMeasurement();
     for (unsigned vm = 0; vm < config.numVms; vm++) {
         auto gen = workload::makeGenerator(config.workload, bases[vm],
@@ -245,28 +231,9 @@ runVirt(const VirtRunConfig &config)
         machine.run(vm, *gen, config.refsPerVm);
     }
 
+    summarize(machine.root(), procs, hiers, result);
     result.metrics = machine.metrics();
     result.energy = machine.energyInputs();
-    result.thpFallbacks = warm_fallbacks;
-    double walks = 0, accesses = 0, walk_accesses = 0, l1_hits = 0;
-    for (unsigned vm = 0; vm < config.numVms; vm++) {
-        auto prefix = "tlb" + std::to_string(vm) + ".";
-        walks += machine.root().value(prefix + "walks");
-        accesses += machine.root().value(prefix + "accesses");
-        walk_accesses +=
-            machine.root().value(prefix + "walk_accesses");
-        l1_hits += machine.root().value(prefix + "l1_hits");
-        result.thpFallbacks +=
-            machine.root()
-                .scalar("guest" + std::to_string(vm)
-                        + ".thp_fallbacks")
-                .value();
-        addLifecycleStats(machine.root(),
-                          "guest" + std::to_string(vm), result);
-    }
-    result.l1MissRate = 1.0 - l1_hits / accesses;
-    result.walksPerKref = 1000.0 * walks / accesses;
-    result.accessesPerWalk = walks > 0 ? walk_accesses / walks : 0.0;
     result.distribution = machine.guestDistribution(0);
     return result;
 }

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 
+#include "common/contracts.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
+#include "sim/driver.hh"
 
 namespace mixtlb::gpu
 {
@@ -27,6 +28,18 @@ GpuSystem::GpuSystem(const GpuParams &params, stats::StatGroup *parent,
     }
 }
 
+void
+GpuSystem::warmup(VAddr base, std::uint64_t bytes)
+{
+    sim::Driver driver("gpu", [this] { auditAll(); });
+    driver.sweep("upload", bytes, PageBytes4K, [&](std::uint64_t off) {
+        const VAddr va = base + off;
+        auto &core = *cores_[(va >> PageShift4K) % cores_.size()];
+        return core.access(va, true).ok;
+    });
+    driver.finish();
+}
+
 Cycles
 GpuSystem::run(
     std::vector<std::unique_ptr<workload::TraceGenerator>> &per_core,
@@ -34,29 +47,25 @@ GpuSystem::run(
 {
     fatal_if(per_core.size() != cores_.size(),
              "one generator per shader core required");
+    sim::Driver driver("gpu", [this] { auditAll(); });
     Cycles cycles = 0;
     std::uint64_t issued = 0;
-    // One warp's worth of references, generated in a batch per
-    // scheduling turn (the buffer is reused across all turns).
-    std::vector<MemRef> warp(params_.warpRefs);
-    while (issued < total_refs) {
-        for (unsigned core = 0; core < cores_.size() &&
-                                issued < total_refs; core++) {
-            const auto turn = static_cast<std::size_t>(
-                std::min<std::uint64_t>(params_.warpRefs,
-                                        total_refs - issued));
-            simd::prefetchWrite(warp.data()); // next trace chunk
-            simd::prefetchWrite(warp.data() + 4);
-            per_core[core]->nextBatch(warp.data(), turn);
-            auto br = cores_[core]->translateBatch(
-                {warp.data(), turn}, false);
-            fatal_if(!br.ok, "GPU access failed (host OOM?)");
-            cycles += br.cycles;
-            issued += turn;
-        }
+    bool ok = true;
+    // Warps issue round-robin across the cores. Shader-core data
+    // references never reach the CPU caches.
+    for (unsigned core = 0; ok && issued < total_refs;
+         core = (core + 1) % cores_.size()) {
+        const auto warp = driver.replay(
+            *cores_[core], *per_core[core],
+            std::min<std::uint64_t>(WarpRefs, total_refs - issued),
+            /*charge_data=*/false, [] {});
+        cycles += warp.cycles;
+        issued += warp.done;
+        ok = warp.ok;
     }
     totalRefs_ += issued;
     translationCycles_ += cycles;
+    driver.finish();
     return cycles;
 }
 
@@ -65,6 +74,16 @@ GpuSystem::invalidatePage(VAddr vbase, PageSize size)
 {
     for (auto &core : cores_)
         core->invalidatePage(vbase, size);
+}
+
+void
+GpuSystem::auditAll() const
+{
+    contracts::AuditReport report("gpu");
+    cores_[0]->l2().audit(report);
+    for (const auto &core : cores_)
+        core->l1().audit(report);
+    contracts::require(report);
 }
 
 } // namespace mixtlb::gpu

@@ -22,11 +22,12 @@
 namespace mixtlb::gpu
 {
 
+/** References each core issues per scheduling turn (a warp). */
+constexpr unsigned WarpRefs = 32;
+
 struct GpuParams
 {
     unsigned numCores = 16;
-    /** References each core issues per scheduling turn (a warp). */
-    unsigned warpRefs = 32;
     tlb::TlbHierarchyParams tlbLatency{};
 };
 
@@ -47,8 +48,16 @@ class GpuSystem
               tlb::WalkSource &source, cache::CacheHierarchy &caches);
 
     /**
-     * Run per-core generators round-robin, @p warpRefs references per
-     * core per turn, for @p total_refs references overall.
+     * The input upload: ascending first-touch of [base, base+bytes)
+     * through rotating cores, one access per 4KB page. Raises "oom"
+     * when memory runs out.
+     */
+    void warmup(VAddr base, std::uint64_t bytes);
+
+    /**
+     * Run per-core generators round-robin, WarpRefs references per
+     * core per turn, for @p total_refs references overall (fewer when
+     * memory runs out; `gpu.refs` counts those completed).
      * @return total translation cycles across all cores.
      */
     Cycles run(std::vector<std::unique_ptr<workload::TraceGenerator>>
@@ -60,6 +69,9 @@ class GpuSystem
 
     /** Invalidate a page in every core (GPU-wide shootdown). */
     void invalidatePage(VAddr vbase, PageSize size);
+
+    /** Audit every core's L1 TLB and the shared L2 TLB. */
+    void auditAll() const;
 
     stats::StatGroup &statGroup() { return stats_; }
 

@@ -1,24 +1,12 @@
 #include "machine.hh"
 
-#include <algorithm>
-
 #include "common/contracts.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
+#include "sim/driver.hh"
 
 namespace mixtlb::sim
 {
-
-/** Mid-run audit cadence at paranoia >= 3 (must be a power of two). */
-constexpr std::uint64_t AuditPeriod = 1ULL << 16;
-
-/**
- * Cadence for the cooperative checks inside the reference loops: the
- * per-point deadline poll and the pressure-burst fault draw (must be a
- * power of two).
- */
-constexpr std::uint64_t CheckPeriod = 1ULL << 10;
 
 /**
  * Frames reclaimed alongside each injected demote storm: enough to
@@ -26,6 +14,27 @@ constexpr std::uint64_t CheckPeriod = 1ULL << 10;
  * the run on refault service.
  */
 constexpr std::uint64_t StormReclaimFrames = 64;
+
+void
+osBoundary(os::Memhog &hog, os::MemoryManager &mm, os::Process &proc)
+{
+    // Pressure bursts are transient: the previous burst (if any) ends
+    // at this boundary, and a new one may begin.
+    hog.burstRelease();
+    if (fault::fire(fault::Site::PressureBurst))
+        hog.burstAcquire(mm.phys().buddy().freeFrames() / 2);
+    // Injected demotion storms model the OS under memory duress:
+    // demote a superpage, then reclaim frames (which drops cold pages
+    // from the demoted region, and may shrink other processes sharing
+    // @p mm). The later refaults scatter the region's frames, so
+    // maintain()'s re-promotion must take the khugepaged-style
+    // collapse path — the hard shootdown cases, end to end.
+    if (fault::fire(fault::Site::DemoteStorm)) {
+        proc.demoteStorm(1);
+        mm.reclaim(StormReclaimFrames);
+    }
+    proc.maintain();
+}
 
 Machine::Machine(const MachineParams &params)
     : params_(params), root_(params.name), mem_(params.memBytes),
@@ -73,118 +82,35 @@ Machine::mapArena(std::uint64_t bytes)
 std::uint64_t
 Machine::run(workload::TraceGenerator &gen, std::uint64_t refs)
 {
-    // References are generated and replayed one CheckPeriod-aligned
-    // batch at a time: the deadline poll and the pressure-burst fault
-    // draw run between batches, at exactly the same points in the
-    // reference stream as the old per-reference loop — so fault
-    // schedules and every modeled statistic stay bit-identical.
-    MemRef batch[CheckPeriod];
-    const bool data_through_caches = params_.dataRefsThroughCaches;
-    std::uint64_t done = 0;
-    bool oom = false;
-    while (done < refs && !oom) {
-        const auto chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                CheckPeriod - (done & (CheckPeriod - 1)), refs - done));
-        simd::prefetchWrite(batch);     // next trace chunk
-        simd::prefetchWrite(batch + 4);
-        gen.nextBatch(batch, chunk);
-        auto br = hier_->translateBatch({batch, chunk},
-                                        data_through_caches);
-        if (!br.ok) {
-            warn("machine %s out of memory after %llu refs",
-                 params_.name.c_str(),
-                 (unsigned long long)(done + br.done));
-            oom = true;
-        }
-        done += br.done;
-        dataCycles_ += br.dataCycles;
-        if (oom)
-            break;
-        if ((done & (CheckPeriod - 1)) == 0) {
-            if (fault::deadlineExpired()) {
-                memhog_.burstRelease();
-                MIX_RAISE("deadline",
-                          "machine %s exceeded per-point deadline "
-                          "after %llu refs",
-                          params_.name.c_str(),
-                          (unsigned long long)done);
-            }
-            // Pressure bursts are transient: the previous burst (if
-            // any) ends at this boundary, and a new one may begin.
-            memhog_.burstRelease();
-            if (fault::fire(fault::Site::PressureBurst))
-                memhog_.burstAcquire(mem_.buddy().freeFrames() / 2);
-            // Injected demotion storms model the OS under memory
-            // duress: demote a superpage, then reclaim frames (which
-            // drops cold pages from the demoted region). The later
-            // refaults scatter the region's frames, so maintain()'s
-            // re-promotion must take the khugepaged-style collapse
-            // path — the hard shootdown cases, end to end.
-            if (fault::fire(fault::Site::DemoteStorm)) {
-                proc_->demoteStorm(1);
-                mm_.reclaim(StormReclaimFrames);
-            }
-            proc_->maintain();
-        }
-        if (contracts::paranoia() >= 3 &&
-            (done & (AuditPeriod - 1)) == 0) {
-            auditAll();
-        }
-    }
+    Driver driver("machine " + params_.name, [this] { auditAll(); });
+    const auto replay =
+        driver.replay(*hier_, gen, refs, /*charge_data=*/true,
+                      [this] { osBoundary(memhog_, mm_, *proc_); });
     memhog_.burstRelease();
-    refs_ += done;
-    if (contracts::paranoia() >= 1)
-        auditAll();
-    return done;
+    refs_ += replay.done;
+    dataCycles_ += replay.dataCycles;
+    driver.finish();
+    return replay.done;
 }
 
 void
 Machine::touchSequential(VAddr base, std::uint64_t bytes,
                          std::uint64_t step)
 {
-    std::uint64_t steps = 0;
-    for (std::uint64_t off = 0; off < bytes; off += step, steps++) {
-        if (proc_->touch(base + off) == os::TouchResult::OutOfMemory) {
-            MIX_RAISE("oom",
-                      "machine %s: touchSequential ran out of memory "
-                      "at offset %llu of %llu bytes",
-                      params_.name.c_str(), (unsigned long long)off,
-                      (unsigned long long)bytes);
-        }
-        if ((steps & (CheckPeriod - 1)) == CheckPeriod - 1 &&
-            fault::deadlineExpired()) {
-            MIX_RAISE("deadline",
-                      "machine %s exceeded per-point deadline during "
-                      "touchSequential",
-                      params_.name.c_str());
-        }
-    }
+    Driver driver("machine " + params_.name, [this] { auditAll(); });
+    driver.sweep("touchSequential", bytes, step, [&](std::uint64_t off) {
+        return proc_->touch(base + off) != os::TouchResult::OutOfMemory;
+    });
 }
 
 void
 Machine::warmup(VAddr base, std::uint64_t bytes, std::uint64_t step)
 {
-    std::uint64_t steps = 0;
-    for (std::uint64_t off = 0; off < bytes; off += step, steps++) {
-        auto result = hier_->access(base + off, true);
-        if (!result.ok) {
-            MIX_RAISE("oom",
-                      "machine %s: warmup ran out of memory at offset "
-                      "%llu of %llu bytes",
-                      params_.name.c_str(), (unsigned long long)off,
-                      (unsigned long long)bytes);
-        }
-        if ((steps & (CheckPeriod - 1)) == CheckPeriod - 1 &&
-            fault::deadlineExpired()) {
-            MIX_RAISE("deadline",
-                      "machine %s exceeded per-point deadline during "
-                      "warmup",
-                      params_.name.c_str());
-        }
-    }
-    if (contracts::paranoia() >= 1)
-        auditAll();
+    Driver driver("machine " + params_.name, [this] { auditAll(); });
+    driver.sweep("warmup", bytes, step, [&](std::uint64_t off) {
+        return hier_->access(base + off, true).ok;
+    });
+    driver.finish();
 }
 
 void
@@ -217,9 +143,8 @@ Machine::metrics(const perf::PerfParams &params) const
 perf::EnergyInputs
 Machine::energyInputs() const
 {
-    auto metrics_now = metrics();
-    return harvestEnergyInputs(root_, *hier_, params_.design,
-                               metrics_now.totalCycles);
+    return sumEnergyInputs({hier_.get()}, params_.design,
+                           metrics().totalCycles);
 }
 
 os::PageSizeDistribution
@@ -235,38 +160,46 @@ Machine::contiguityRuns(PageSize size) const
 }
 
 perf::EnergyInputs
-harvestEnergyInputs(const stats::StatGroup &root,
-                    const tlb::TlbHierarchy &hier, TlbDesign design,
-                    double total_cycles)
+sumEnergyInputs(const std::vector<const tlb::TlbHierarchy *> &hiers,
+                TlbDesign design, double total_cycles)
 {
-    (void)root;
-    perf::EnergyInputs inputs;
-    const auto &l1 = hier.l1();
-    const auto &l2 = hier.l2();
-    inputs.l1WaysRead = l1.waysReadCount();
-    inputs.l2WaysRead = l2.waysReadCount();
-    inputs.l1Entries = l1.numEntries();
-    inputs.l2Entries = l2.numEntries();
-    inputs.l1Fills = l1.fillCount();
-    inputs.l2Fills = l2.fillCount();
-    inputs.walkAccesses = hier.walkAccessCount();
-    inputs.walkDramAccesses = hier.walkDramAccessCount();
-    inputs.dirtyOps = hier.dirtyMicroOpCount();
-    inputs.invalidations =
-        l1.invalidationCount() + l2.invalidationCount();
     const bool mirroring = design == TlbDesign::Mix ||
                            design == TlbDesign::MixColt ||
                            design == TlbDesign::MixSuperIndex;
-    inputs.fillBurstFactor = mirroring ? 0.25 : 1.0;
     const bool predictor = design == TlbDesign::HashRehashPred ||
                            design == TlbDesign::SkewPred;
-    inputs.predictorLookups =
-        predictor ? l1.hits() + l1.misses() + l2.hits() + l2.misses()
-                  : 0.0;
-    inputs.skewTimestamps = design == TlbDesign::Skew ||
-                            design == TlbDesign::SkewPred;
-    inputs.totalCycles = total_cycles;
-    return inputs;
+    perf::EnergyInputs total;
+    const tlb::BaseTlb *counted_l2 = nullptr;
+    for (const auto *hier : hiers) {
+        const auto &l1 = hier->l1();
+        const auto &l2 = hier->l2();
+        total.l1WaysRead += l1.waysReadCount();
+        total.l1Entries = l1.numEntries();
+        total.l1Fills += l1.fillCount();
+        // A shared L2 (the GPU's) is one structure: read and fill it
+        // once. Its invalidations and predictor lookups below still
+        // count once per hierarchy (DESIGN.md §12, known quirk).
+        if (&l2 != counted_l2) {
+            total.l2WaysRead += l2.waysReadCount();
+            total.l2Fills += l2.fillCount();
+            counted_l2 = &l2;
+        }
+        total.l2Entries = l2.numEntries();
+        total.walkAccesses += hier->walkAccessCount();
+        total.walkDramAccesses += hier->walkDramAccessCount();
+        total.dirtyOps += hier->dirtyMicroOpCount();
+        total.invalidations +=
+            l1.invalidationCount() + l2.invalidationCount();
+        if (predictor) {
+            total.predictorLookups +=
+                l1.hits() + l1.misses() + l2.hits() + l2.misses();
+        }
+    }
+    total.fillBurstFactor = mirroring ? 0.25 : 1.0;
+    total.skewTimestamps = design == TlbDesign::Skew ||
+                           design == TlbDesign::SkewPred;
+    total.totalCycles = total_cycles;
+    return total;
 }
 
 VirtMachine::VirtMachine(const VirtMachineParams &params)
@@ -339,73 +272,26 @@ std::uint64_t
 VirtMachine::run(unsigned vm, workload::TraceGenerator &gen,
                  std::uint64_t refs)
 {
-    auto &hier = *hiers_.at(vm);
-    // Batched like Machine::run: polls land at the same reference-
-    // stream positions as the old per-reference loop.
-    MemRef batch[CheckPeriod];
-    const bool data_through_caches = params_.dataRefsThroughCaches;
-    std::uint64_t done = 0;
-    bool oom = false;
-    while (done < refs && !oom) {
-        const auto chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                CheckPeriod - (done & (CheckPeriod - 1)), refs - done));
-        simd::prefetchWrite(batch);     // next trace chunk
-        simd::prefetchWrite(batch + 4);
-        gen.nextBatch(batch, chunk);
-        auto br = hier.translateBatch({batch, chunk},
-                                      data_through_caches);
-        if (!br.ok) {
-            warn("vm %u out of memory after %llu refs", vm,
-                 (unsigned long long)(done + br.done));
-            oom = true;
-        }
-        done += br.done;
-        dataCycles_ += br.dataCycles;
-        if (oom)
-            break;
-        if ((done & (CheckPeriod - 1)) == 0 &&
-            fault::deadlineExpired()) {
-            MIX_RAISE("deadline",
-                      "vm %u exceeded per-point deadline after %llu "
-                      "refs",
-                      vm, (unsigned long long)done);
-        }
-        if (contracts::paranoia() >= 3 &&
-            (done & (AuditPeriod - 1)) == 0) {
-            auditAll();
-        }
-    }
-    refs_ += done;
-    if (contracts::paranoia() >= 1)
-        auditAll();
-    return done;
+    // The boundary is deadline-only: no pressure bursts or demotion
+    // storms inside the VMs.
+    Driver driver("vm " + std::to_string(vm), [this] { auditAll(); });
+    const auto replay = driver.replay(*hiers_.at(vm), gen, refs,
+                                      /*charge_data=*/true, [] {});
+    refs_ += replay.done;
+    dataCycles_ += replay.dataCycles;
+    driver.finish();
+    return replay.done;
 }
 
 void
 VirtMachine::warmup(unsigned vm, VAddr base, std::uint64_t bytes)
 {
     auto &hier = *hiers_.at(vm);
-    std::uint64_t steps = 0;
-    for (std::uint64_t off = 0; off < bytes;
-         off += PageBytes4K, steps++) {
-        auto result = hier.access(base + off, true);
-        if (!result.ok) {
-            MIX_RAISE("oom",
-                      "vm %u warmup ran out of memory at offset %llu "
-                      "of %llu bytes",
-                      vm, (unsigned long long)off,
-                      (unsigned long long)bytes);
-        }
-        if ((steps & (CheckPeriod - 1)) == CheckPeriod - 1 &&
-            fault::deadlineExpired()) {
-            MIX_RAISE("deadline",
-                      "vm %u exceeded per-point deadline during warmup",
-                      vm);
-        }
-    }
-    if (contracts::paranoia() >= 1)
-        auditAll();
+    Driver driver("vm " + std::to_string(vm), [this] { auditAll(); });
+    driver.sweep("warmup", bytes, PageBytes4K, [&](std::uint64_t off) {
+        return hier.access(base + off, true).ok;
+    });
+    driver.finish();
 }
 
 void
@@ -502,32 +388,11 @@ VirtMachine::metrics(const perf::PerfParams &params) const
 perf::EnergyInputs
 VirtMachine::energyInputs() const
 {
-    perf::EnergyInputs total;
-    auto metrics_now = metrics();
-    for (const auto &hier : hiers_) {
-        auto inputs = harvestEnergyInputs(root_, *hier, params_.design,
-                                          0.0);
-        total.l1WaysRead += inputs.l1WaysRead;
-        total.l2WaysRead += inputs.l2WaysRead;
-        total.l1Entries = inputs.l1Entries;
-        total.l2Entries = inputs.l2Entries;
-        total.l1Fills += inputs.l1Fills;
-        total.l2Fills += inputs.l2Fills;
-        total.walkAccesses += inputs.walkAccesses;
-        total.walkDramAccesses += inputs.walkDramAccesses;
-        total.dirtyOps += inputs.dirtyOps;
-        total.invalidations += inputs.invalidations;
-        total.predictorLookups += inputs.predictorLookups;
-        total.skewTimestamps = inputs.skewTimestamps;
-        // The mirror fill-burst discount is a property of the design,
-        // not an additive count; take the min so the MIX discount
-        // survives aggregation (dropping it charged virtualized MIX
-        // runs full fill energy, 1.0 instead of 0.25).
-        total.fillBurstFactor = std::min(total.fillBurstFactor,
-                                         inputs.fillBurstFactor);
-    }
-    total.totalCycles = metrics_now.totalCycles;
-    return total;
+    std::vector<const tlb::TlbHierarchy *> hiers;
+    for (const auto &hier : hiers_)
+        hiers.push_back(hier.get());
+    return sumEnergyInputs(hiers, params_.design,
+                           metrics().totalCycles);
 }
 
 } // namespace mixtlb::sim

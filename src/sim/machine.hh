@@ -42,8 +42,6 @@ struct MachineParams
     double memhogFraction = 0.0;
     double memhogUnmovableShare = 0.2;
     std::uint64_t seed = 1;
-    /** Also push data references through the cache hierarchy. */
-    bool dataRefsThroughCaches = true;
     /** Paging-structure (MMU) cache entries; 0 = disabled (paper). */
     unsigned pwcEntries = 0;
     cache::HierarchyParams caches{};
@@ -131,7 +129,6 @@ struct VirtMachineParams
     /** memhog running inside each VM (the paper's "N VM : M mh"). */
     double guestMemhogFraction = 0.0;
     std::uint64_t seed = 1;
-    bool dataRefsThroughCaches = true;
     cache::HierarchyParams caches{};
     tlb::TlbHierarchyParams tlbLatency{};
 };
@@ -173,6 +170,7 @@ class VirtMachine
     perf::EnergyInputs energyInputs() const;
 
     os::Process &guestProcess(unsigned vm) { return *guestProcs_[vm]; }
+    tlb::TlbHierarchy &tlbs(unsigned vm) { return *hiers_.at(vm); }
     virt::Vm &vm(unsigned idx) { return *vms_[idx]; }
     stats::StatGroup &root() { return root_; }
 
@@ -192,11 +190,21 @@ class VirtMachine
     std::uint64_t dataCycles_ = 0;
 };
 
-/** Harvest energy inputs from any hierarchy's stat tree. */
-perf::EnergyInputs harvestEnergyInputs(const stats::StatGroup &root,
-                                       const tlb::TlbHierarchy &hier,
-                                       TlbDesign design,
-                                       double total_cycles);
+/**
+ * Energy-model inputs summed over @p hiers: the one CPU hierarchy, every
+ * vCPU, or every shader core (whose shared L2 is read and filled once).
+ */
+perf::EnergyInputs
+sumEnergyInputs(const std::vector<const tlb::TlbHierarchy *> &hiers,
+                TlbDesign design, double total_cycles);
+
+/**
+ * The OS work at a run boundary: end the previous pressure burst and
+ * maybe start one, maybe inject a demotion storm into @p proc, then
+ * maintain() it. Draws the PressureBurst and DemoteStorm fault sites.
+ */
+void osBoundary(os::Memhog &hog, os::MemoryManager &mm,
+                os::Process &proc);
 
 } // namespace mixtlb::sim
 

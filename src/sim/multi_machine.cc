@@ -3,23 +3,13 @@
 #include <algorithm>
 
 #include "common/contracts.hh"
-#include "common/fault.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
+#include "sim/driver.hh"
 #include "sim/machine.hh"
 #include "tlb/ideal.hh"
 
 namespace mixtlb::sim
 {
-
-/** Mid-run audit cadence at paranoia >= 3 (must be a power of two). */
-constexpr std::uint64_t MultiAuditPeriod = 1ULL << 16;
-
-/** Deadline-poll cadence inside slices (must be a power of two). */
-constexpr std::uint64_t MultiCheckPeriod = 1ULL << 10;
-
-/** Frames reclaimed alongside each injected demote storm. */
-constexpr std::uint64_t StormReclaimFrames = 64;
 
 const char *
 switchPolicyName(SwitchPolicy policy)
@@ -216,50 +206,6 @@ MultiMachine::switchTo(unsigned proc)
 }
 
 std::uint64_t
-MultiMachine::runSlice(unsigned proc, std::uint64_t refs)
-{
-    MemRef batch[MultiCheckPeriod];
-    workload::TraceGenerator &gen = *gens_[proc];
-    const bool data_through_caches = params_.dataRefsThroughCaches;
-    std::uint64_t done = 0;
-    while (done < refs) {
-        const auto chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                MultiCheckPeriod - (done & (MultiCheckPeriod - 1)),
-                refs - done));
-        simd::prefetchWrite(batch);     // next trace chunk
-        simd::prefetchWrite(batch + 4);
-        gen.nextBatch(batch, chunk);
-        auto br = hier_->translateBatch({batch, chunk},
-                                        data_through_caches);
-        bool oom = false;
-        if (!br.ok) {
-            warn("machine %s: process %u out of memory, parking it",
-                 params_.name.c_str(), proc);
-            oom = true;
-        }
-        done += br.done;
-        dataCycles_ += br.dataCycles;
-        if (oom)
-            break;
-        if ((done & (MultiCheckPeriod - 1)) == 0 &&
-            fault::deadlineExpired()) {
-            memhog_.burstRelease();
-            MIX_RAISE("deadline",
-                      "machine %s exceeded per-point deadline after "
-                      "%llu refs of process %u",
-                      params_.name.c_str(), (unsigned long long)done,
-                      proc);
-        }
-        if (contracts::paranoia() >= 3 &&
-            (done & (MultiAuditPeriod - 1)) == 0) {
-            auditAll();
-        }
-    }
-    return done;
-}
-
-std::uint64_t
 MultiMachine::run(std::uint64_t refs_per_proc)
 {
     for (unsigned i = 0; i < numProcs(); i++) {
@@ -267,6 +213,7 @@ MultiMachine::run(std::uint64_t refs_per_proc)
                  "machine %s: process %u has no workload attached",
                  params_.name.c_str(), i);
     }
+    Driver driver("machine " + params_.name, [this] { auditAll(); });
     std::vector<std::uint64_t> remaining(numProcs(), refs_per_proc);
     std::uint64_t total = 0;
     bool progress = true;
@@ -275,38 +222,28 @@ MultiMachine::run(std::uint64_t refs_per_proc)
         for (unsigned i = 0; i < numProcs(); i++) {
             if (!remaining[i])
                 continue;
-            const std::uint64_t slice =
-                std::min(params_.quantum, remaining[i]);
             switchTo(i);
             const Snapshot before = takeSnapshot();
-            const std::uint64_t done = runSlice(i, slice);
+            const auto replay = driver.replay(
+                *hier_, *gens_[i], std::min(params_.quantum, remaining[i]),
+                /*charge_data=*/true, [] {});
+            dataCycles_ += replay.dataCycles;
             accumulate(i, before);
-            total += done;
-            if (done)
+            total += replay.done;
+            if (replay.done)
                 progress = true;
-            // A short slice means OOM: park the process for good.
-            remaining[i] = done < slice ? 0 : remaining[i] - done;
-            // Pressure bursts straddle slice boundaries: the previous
-            // burst (if any) ends here, and a new one may begin.
-            memhog_.burstRelease();
-            if (fault::fire(fault::Site::PressureBurst))
-                memhog_.burstAcquire(mem_.buddy().freeFrames() / 2);
-            // Injected demotion storms model the OS under memory
-            // duress: demote one of this process's superpages, then
-            // reclaim frames — which may shrink *other* processes too
-            // (the reclaimer registry spans the shared memory
-            // manager), exercising per-ASID shootdown isolation.
-            if (fault::fire(fault::Site::DemoteStorm)) {
-                procs_[i]->demoteStorm(1);
-                mm_.reclaim(StormReclaimFrames);
-            }
-            procs_[i]->maintain();
+            // Out of memory parks the process for good.
+            remaining[i] = replay.ok ? remaining[i] - replay.done : 0;
+            // The OS boundary sits at slice ends. Its reclaim may shrink
+            // *other* processes too (the reclaimer registry spans the
+            // shared memory manager), exercising per-ASID shootdown
+            // isolation.
+            osBoundary(memhog_, mm_, *procs_[i]);
         }
     }
     memhog_.burstRelease();
     refs_ += total;
-    if (contracts::paranoia() >= 1)
-        auditAll();
+    driver.finish();
     return total;
 }
 
@@ -315,27 +252,13 @@ MultiMachine::warmup(unsigned proc, VAddr base, std::uint64_t bytes,
                      std::uint64_t step)
 {
     switchTo(proc);
-    std::uint64_t steps = 0;
-    for (std::uint64_t off = 0; off < bytes; off += step, steps++) {
-        auto result = hier_->access(base + off, true);
-        if (!result.ok) {
-            MIX_RAISE("oom",
-                      "machine %s: warmup of process %u ran out of "
-                      "memory at offset %llu of %llu bytes",
-                      params_.name.c_str(), proc,
-                      (unsigned long long)off,
-                      (unsigned long long)bytes);
-        }
-        if ((steps & (MultiCheckPeriod - 1)) == MultiCheckPeriod - 1 &&
-            fault::deadlineExpired()) {
-            MIX_RAISE("deadline",
-                      "machine %s exceeded per-point deadline during "
-                      "warmup of process %u",
-                      params_.name.c_str(), proc);
-        }
-    }
-    if (contracts::paranoia() >= 1)
-        auditAll();
+    Driver driver("machine " + params_.name + " process " +
+                      std::to_string(proc),
+                  [this] { auditAll(); });
+    driver.sweep("warmup", bytes, step, [&](std::uint64_t off) {
+        return hier_->access(base + off, true).ok;
+    });
+    driver.finish();
 }
 
 void
@@ -369,9 +292,8 @@ MultiMachine::metrics(const perf::PerfParams &params) const
 perf::EnergyInputs
 MultiMachine::energyInputs() const
 {
-    auto metrics_now = metrics();
-    return harvestEnergyInputs(root_, *hier_, params_.design,
-                               metrics_now.totalCycles);
+    return sumEnergyInputs({hier_.get()}, params_.design,
+                           metrics().totalCycles);
 }
 
 double

@@ -54,7 +54,6 @@ struct MultiMachineParams
     double memhogFraction = 0.0;
     double memhogUnmovableShare = 0.2;
     std::uint64_t seed = 1;
-    bool dataRefsThroughCaches = true;
     unsigned pwcEntries = 0;
     cache::HierarchyParams caches{};
     tlb::TlbHierarchyParams tlbLatency{};
@@ -173,9 +172,6 @@ class MultiMachine
      * active ASID at both TLB levels.
      */
     void switchTo(unsigned proc);
-
-    /** Replay up to @p refs references of @p proc's stream. */
-    std::uint64_t runSlice(unsigned proc, std::uint64_t refs);
 
     MultiMachineParams params_;
     stats::StatGroup root_;

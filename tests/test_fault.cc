@@ -422,6 +422,70 @@ TEST(SweepChecked, DeadlineQuarantinesWedgedPoints)
 }
 
 // ---------------------------------------------------------------------
+// The run driver's deadline poll, once per kind: every kind polls at
+// least once per CheckPeriod replayed references. The deadline is
+// armed only after warmup, because the warmup sweep polls too.
+
+namespace
+{
+
+/** Arm a 1us deadline and expect @p run to raise it. */
+template <class Run>
+void
+expectDeadline(Run &&run)
+{
+    fault::FaultScope scope(fault::FaultConfig{}, 1, 0, 1e-6);
+    try {
+        run();
+        ADD_FAILURE() << "the run outlived a 1us deadline";
+    } catch (const SimError &error) {
+        EXPECT_EQ(error.kind(), "deadline");
+    }
+}
+
+} // anonymous namespace
+
+TEST(DriverDeadline, Native)
+{
+    MachineParams params;
+    params.memBytes = 256 * MiB;
+    Machine machine(params);
+    VAddr base = machine.mapArena(16 * MiB);
+    machine.warmup(base, 16 * MiB);
+    auto gen = workload::makeGenerator("gups", base, 16 * MiB, 1);
+    expectDeadline([&] { machine.run(*gen, 200000); });
+}
+
+TEST(DriverDeadline, Virt)
+{
+    VirtMachineParams params;
+    params.hostMemBytes = 256 * MiB;
+    VirtMachine machine(params);
+    VAddr base = machine.mapArena(0, 16 * MiB);
+    machine.warmup(0, base, 16 * MiB);
+    auto gen = workload::makeGenerator("gups", base, 16 * MiB, 1);
+    expectDeadline([&] { machine.run(0, *gen, 200000); });
+}
+
+TEST(DriverDeadline, MultiQuantum512)
+{
+    // Slices shorter than CheckPeriod: the poll must count references
+    // across slices, not within one.
+    MultiMachineParams params;
+    params.memBytes = 256 * MiB;
+    params.quantum = 512;
+    params.procs.resize(2);
+    MultiMachine machine(params);
+    for (unsigned i = 0; i < 2; i++) {
+        VAddr base = machine.mapArena(i, 16 * MiB);
+        machine.warmup(i, base, 16 * MiB);
+        machine.attachWorkload(
+            i, workload::makeGenerator("gups", base, 16 * MiB, i + 1));
+    }
+    expectDeadline([&] { machine.run(100000); });
+}
+
+// ---------------------------------------------------------------------
 // The BenchSweep harness: quarantine parity across job counts, exit
 // codes, and checkpoint/resume bit-identity.
 
@@ -533,6 +597,48 @@ TEST(BenchSweepFault, ResumeReproducesTheUninterruptedJson)
          {json_a, json_b, json_c, json_a + ".ckpt", journal}) {
         std::remove(path.c_str());
     }
+}
+
+TEST(BenchSweepFault, OversizedGpuPointsDegradeWithoutKillingTheSweep)
+{
+    // One GPU point fits; two have arenas 8x physical memory. Running
+    // out of memory mid-run ends that point short, during the upload
+    // it quarantines the point as "oom"; neither takes the process
+    // down, and the fitting point is intact.
+    GpuRunConfig config;
+    config.kernel = "gups";
+    config.cores = 4;
+    config.memBytes = 64 * MiB;
+    config.footprintBytes = 16 * MiB;
+    config.refs = 20000;
+    SweepGrid grid;
+    grid.add("gpu", "fits", config);
+    config.memBytes = 8 * MiB;
+    config.footprintBytes = 64 * MiB;
+    grid.add("gpu", "oversize-run", config);
+    config.memBytes = 64 * MiB;
+    config.footprintBytes = 512 * MiB;
+    config.memhog = 0.8; // pinned: nothing left to reclaim
+    grid.add("gpu", "oversize-upload", config);
+
+    auto args = makeArgs({"--jobs", "1", "--retries", "0",
+                          "--no-timing"});
+    BenchSweep sweep(args, "gpu-oom");
+    auto results = sweep.run(grid);
+    const json::Value &points = *sweep.doc().find("results");
+    ASSERT_EQ(points.size(), 3u);
+    for (std::size_t i : {0u, 1u}) {
+        EXPECT_EQ(points.members()[i].second.find("status")->str(), "ok")
+            << i;
+    }
+    EXPECT_EQ(results[0].metrics.refs, config.refs);
+    EXPECT_GT(results[1].metrics.refs, 0u);
+    EXPECT_LT(results[1].metrics.refs, config.refs);
+
+    const json::Value &upload = points.members()[2].second;
+    EXPECT_EQ(upload.find("status")->str(), "failed");
+    EXPECT_EQ(upload.find("error")->find("kind")->str(), "oom");
+    EXPECT_EQ(sweep.failures(), 1u);
 }
 
 TEST(BenchSweepFaultDeathTest, ResumeRejectsAForeignJournal)

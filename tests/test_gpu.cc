@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/contracts.hh"
+#include "common/fault.hh"
 #include "gpu/gpu_system.hh"
 #include "os/memory_manager.hh"
 #include "os/process.hh"
@@ -46,13 +48,20 @@ struct GpuFixture : ::testing::Test
         gpu::GpuParams params;
         params.numCores = cores;
         auto l2 = sim::makeGpuL2(design, &root, &proc.pageTable());
-        return std::make_unique<gpu::GpuSystem>(
+        auto system = std::make_unique<gpu::GpuSystem>(
             params, &root,
             [&, design](unsigned core, stats::StatGroup *parent) {
                 return sim::makeGpuCoreL1(design, core, parent,
                                           &proc.pageTable());
             },
             l2, source, caches);
+        // OS translation changes must shoot down every core, or
+        // reclaim leaves stale entries behind.
+        proc.addInvalidateListener(
+            [gpu = system.get()](VAddr vbase, PageSize size) {
+                gpu->invalidatePage(vbase, size);
+            });
+        return system;
     }
 
     std::vector<std::unique_ptr<workload::TraceGenerator>>
@@ -120,8 +129,7 @@ TEST_F(GpuFixture, MixBeatsSplitOnGpuWorkloads)
     // Initialization sweep (the kernel's input upload): ascending
     // first-touch hands contiguous frames and warms the TLB state.
     auto warm = [&](gpu::GpuSystem &system) {
-        for (VAddr va = base; va < base + 256 * MiB; va += PageBytes4K)
-            system.core((va >> PageShift4K) % 4).access(va, true);
+        system.warmup(base, 256 * MiB);
     };
 
     auto split_gpu = makeGpu(sim::TlbDesign::Split);
@@ -135,4 +143,21 @@ TEST_F(GpuFixture, MixBeatsSplitOnGpuWorkloads)
     Cycles mix_cycles = mix_gpu->run(gens_b, 100000);
 
     EXPECT_LT(mix_cycles, split_cycles);
+}
+
+TEST_F(GpuFixture, DeadlineInterruptsTheRun)
+{
+    // Each replay is one 32-reference warp, so the poll must count
+    // references across warps. Armed after the upload, which polls too.
+    auto gpu_system = makeGpu(sim::TlbDesign::Mix);
+    VAddr base = proc.mmap(128 * MiB);
+    gpu_system->warmup(base, 64 * MiB);
+    auto gens = makeGenerators("bfs", base, 64 * MiB, 4);
+    fault::FaultScope scope(fault::FaultConfig{}, 1, 0, 1e-6);
+    try {
+        gpu_system->run(gens, 200000);
+        ADD_FAILURE() << "the run outlived a 1us deadline";
+    } catch (const SimError &error) {
+        EXPECT_EQ(error.kind(), "deadline");
+    }
 }
