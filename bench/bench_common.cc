@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 
 #include "common/contracts.hh"
 #include "common/logging.hh"
@@ -17,14 +18,10 @@ addProcessStats(const stats::StatGroup &root,
                 const std::vector<std::string> &procs, RunResult &result)
 {
     for (const auto &prefix : procs) {
-        result.thpFallbacks += root.value(prefix + ".thp_fallbacks");
-        result.demotions += root.value(prefix + ".demotions");
-        result.reclaims += root.value(prefix + ".reclaims");
-        result.repromotions += root.value(prefix + ".repromotions");
-        result.oomRetries += root.value(prefix + ".oom_retries");
-        result.demoteRescues += root.value(prefix + ".demote_rescues");
-        result.compactionRescues +=
-            root.value(prefix + ".compaction_rescues");
+        for (std::size_t i = 0; i < LifecycleStats.size(); i++) {
+            result.lifecycle[i] +=
+                root.value(prefix + "." + LifecycleStats[i]);
+        }
     }
 }
 
@@ -290,161 +287,155 @@ configJson(const SweepJob &job)
     return out;
 }
 
-json::Value
-resultJson(const RunResult &result)
-{
-    auto out = json::Value::object();
-
-    auto &metrics = out["metrics"];
-    metrics["refs"] = result.metrics.refs;
-    metrics["translation_cycles"] = result.metrics.translationCycles;
-    metrics["base_cycles"] = result.metrics.baseCycles;
-    metrics["overhead_cycles"] = result.metrics.overheadCycles;
-    metrics["total_cycles"] = result.metrics.totalCycles;
-    metrics["overhead_fraction"] = result.metrics.overheadFraction();
-    metrics["l1_hit_rate"] = 1.0 - result.l1MissRate;
-    metrics["l1_miss_rate"] = result.l1MissRate;
-    metrics["walks_per_kref"] = result.walksPerKref;
-    metrics["accesses_per_walk"] = result.accessesPerWalk;
-    metrics["superpage_fraction"] =
-        result.distribution.superpageFraction();
-    metrics["thp_fallbacks"] = result.thpFallbacks;
-    metrics["demotions"] = result.demotions;
-    metrics["reclaims"] = result.reclaims;
-    metrics["repromotions"] = result.repromotions;
-    metrics["oom_retries"] = result.oomRetries;
-    metrics["demote_rescues"] = result.demoteRescues;
-    metrics["compaction_rescues"] = result.compactionRescues;
-
-    auto &energy = out["energy"];
-    energy["l1_ways_read"] = result.energy.l1WaysRead;
-    energy["l2_ways_read"] = result.energy.l2WaysRead;
-    energy["l1_entries"] = result.energy.l1Entries;
-    energy["l2_entries"] = result.energy.l2Entries;
-    energy["l1_fills"] = result.energy.l1Fills;
-    energy["l2_fills"] = result.energy.l2Fills;
-    energy["fill_burst_factor"] = result.energy.fillBurstFactor;
-    energy["walk_accesses"] = result.energy.walkAccesses;
-    energy["walk_dram_accesses"] = result.energy.walkDramAccesses;
-    energy["dirty_ops"] = result.energy.dirtyOps;
-    energy["invalidations"] = result.energy.invalidations;
-    energy["predictor_lookups"] = result.energy.predictorLookups;
-    energy["skew_timestamps"] = result.energy.skewTimestamps;
-    energy["total_cycles"] = result.energy.totalCycles;
-    auto breakdown = perf::EnergyModel{}.compute(result.energy);
-    energy["lookup_pj"] = breakdown.lookup;
-    energy["walk_pj"] = breakdown.walk;
-    energy["fill_pj"] = breakdown.fill;
-    energy["other_pj"] = breakdown.other;
-    energy["leakage_pj"] = breakdown.leakage;
-    energy["total_pj"] = breakdown.total();
-    energy["pj_per_access"] =
-        result.metrics.refs
-            ? breakdown.total()
-                  / static_cast<double>(result.metrics.refs)
-            : 0.0;
-
-    auto &distribution = out["distribution"];
-    distribution["bytes_4k"] = result.distribution.bytes4k;
-    distribution["bytes_2m"] = result.distribution.bytes2m;
-    distribution["bytes_1g"] = result.distribution.bytes1g;
-
-    if (!result.procL1MissRates.empty()) {
-        auto &multi = out["multi"];
-        multi["context_switches"] = result.contextSwitches;
-        multi["full_flushes"] = result.fullFlushes;
-        auto rates = json::Value::array();
-        for (double rate : result.procL1MissRates)
-            rates.push(rate);
-        multi["proc_l1_miss_rates"] = std::move(rates);
-    }
-    return out;
-}
-
 namespace
 {
 
-double
-numberAt(const json::Value &object, const char *key)
+/**
+ * The one field list of a point record, in its key order. Calls
+ * v.field(block, key, member) for every stored RunResult member and
+ * v.derived(block, key, fn) for the write-only values computed from
+ * them; v.section(block, present) guards the block only
+ * multiprogrammed runs carry. resultJson() and resultFromJson() are
+ * its two visitors, so each key is spelled here and nowhere else.
+ */
+template <class Result, class Visitor>
+void
+forEachField(Result &r, Visitor &&v)
 {
-    const json::Value *value = object.find(key);
-    return value ? value->number() : 0.0;
+    auto &m = r.metrics;
+    v.field("metrics", "refs", m.refs);
+    v.field("metrics", "translation_cycles", m.translationCycles);
+    v.field("metrics", "base_cycles", m.baseCycles);
+    v.field("metrics", "overhead_cycles", m.overheadCycles);
+    v.field("metrics", "total_cycles", m.totalCycles);
+    v.derived("metrics", "overhead_fraction",
+              [&] { return m.overheadFraction(); });
+    v.derived("metrics", "l1_hit_rate",
+              [&] { return 1.0 - r.l1MissRate; });
+    v.field("metrics", "l1_miss_rate", r.l1MissRate);
+    v.field("metrics", "walks_per_kref", r.walksPerKref);
+    v.field("metrics", "accesses_per_walk", r.accessesPerWalk);
+    v.derived("metrics", "superpage_fraction",
+              [&] { return r.distribution.superpageFraction(); });
+    for (std::size_t i = 0; i < LifecycleStats.size(); i++)
+        v.field("metrics", LifecycleStats[i], r.lifecycle[i]);
+
+    auto &e = r.energy;
+    v.field("energy", "l1_ways_read", e.l1WaysRead);
+    v.field("energy", "l2_ways_read", e.l2WaysRead);
+    v.field("energy", "l1_entries", e.l1Entries);
+    v.field("energy", "l2_entries", e.l2Entries);
+    v.field("energy", "l1_fills", e.l1Fills);
+    v.field("energy", "l2_fills", e.l2Fills);
+    v.field("energy", "fill_burst_factor", e.fillBurstFactor);
+    v.field("energy", "walk_accesses", e.walkAccesses);
+    v.field("energy", "walk_dram_accesses", e.walkDramAccesses);
+    v.field("energy", "dirty_ops", e.dirtyOps);
+    v.field("energy", "invalidations", e.invalidations);
+    v.field("energy", "predictor_lookups", e.predictorLookups);
+    v.field("energy", "skew_timestamps", e.skewTimestamps);
+    v.field("energy", "total_cycles", e.totalCycles);
+    const auto pj = [&] { return perf::EnergyModel{}.compute(e); };
+    v.derived("energy", "lookup_pj", [&] { return pj().lookup; });
+    v.derived("energy", "walk_pj", [&] { return pj().walk; });
+    v.derived("energy", "fill_pj", [&] { return pj().fill; });
+    v.derived("energy", "other_pj", [&] { return pj().other; });
+    v.derived("energy", "leakage_pj", [&] { return pj().leakage; });
+    v.derived("energy", "total_pj", [&] { return pj().total(); });
+    v.derived("energy", "pj_per_access", [&] {
+        return m.refs ? pj().total() / static_cast<double>(m.refs) : 0.0;
+    });
+
+    v.field("distribution", "bytes_4k", r.distribution.bytes4k);
+    v.field("distribution", "bytes_2m", r.distribution.bytes2m);
+    v.field("distribution", "bytes_1g", r.distribution.bytes1g);
+
+    if (v.section("multi", !r.procL1MissRates.empty())) {
+        v.field("multi", "context_switches", r.contextSwitches);
+        v.field("multi", "full_flushes", r.fullFlushes);
+        v.field("multi", "proc_l1_miss_rates", r.procL1MissRates);
+    }
 }
 
+/** forEachField visitor building the record blocks. */
+struct RecordWriter
+{
+    json::Value out = json::Value::object();
+
+    template <class T>
+    void
+    field(const char *block, const char *key, const T &value)
+    {
+        out[block][key] = value;
+    }
+
+    void
+    field(const char *block, const char *key,
+          const std::vector<double> &values)
+    {
+        auto array = json::Value::array();
+        for (double value : values)
+            array.push(value);
+        out[block][key] = std::move(array);
+    }
+
+    template <class Fn>
+    void
+    derived(const char *block, const char *key, Fn fn)
+    {
+        out[block][key] = fn();
+    }
+
+    bool section(const char *, bool present) { return present; }
+};
+
+/**
+ * forEachField visitor filling a RunResult from a record; keys the
+ * record lacks keep their defaults.
+ */
+struct RecordReader
+{
+    const json::Value &record;
+
+    template <class T>
+    void
+    field(const char *block, const char *key, T &member)
+    {
+        const json::Value *object = record.find(block);
+        const json::Value *value = object ? object->find(key) : nullptr;
+        if (!value)
+            return;
+        if constexpr (std::is_same_v<T, bool>) {
+            member = value->boolean();
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+            for (const auto &[index, element] : value->members())
+                member.push_back(element.number());
+        } else {
+            member = static_cast<T>(value->number());
+        }
+    }
+
+    template <class Fn>
+    void derived(const char *, const char *, Fn) {}
+
+    bool section(const char *, bool) { return true; }
+};
+
 } // anonymous namespace
+
+json::Value
+resultJson(const RunResult &result)
+{
+    RecordWriter writer;
+    forEachField(result, writer);
+    return std::move(writer.out);
+}
 
 RunResult
 resultFromJson(const json::Value &record)
 {
     RunResult result;
-    const json::Value *metrics = record.find("metrics");
-    if (metrics) {
-        result.metrics.refs = static_cast<std::uint64_t>(
-            numberAt(*metrics, "refs"));
-        result.metrics.translationCycles =
-            numberAt(*metrics, "translation_cycles");
-        result.metrics.baseCycles = numberAt(*metrics, "base_cycles");
-        result.metrics.overheadCycles =
-            numberAt(*metrics, "overhead_cycles");
-        result.metrics.totalCycles = numberAt(*metrics, "total_cycles");
-        result.l1MissRate = numberAt(*metrics, "l1_miss_rate");
-        result.walksPerKref = numberAt(*metrics, "walks_per_kref");
-        result.accessesPerWalk =
-            numberAt(*metrics, "accesses_per_walk");
-        result.thpFallbacks = numberAt(*metrics, "thp_fallbacks");
-        result.demotions = numberAt(*metrics, "demotions");
-        result.reclaims = numberAt(*metrics, "reclaims");
-        result.repromotions = numberAt(*metrics, "repromotions");
-        result.oomRetries = numberAt(*metrics, "oom_retries");
-        result.demoteRescues = numberAt(*metrics, "demote_rescues");
-        result.compactionRescues =
-            numberAt(*metrics, "compaction_rescues");
-    }
-    const json::Value *energy = record.find("energy");
-    if (energy) {
-        result.energy.l1WaysRead = numberAt(*energy, "l1_ways_read");
-        result.energy.l2WaysRead = numberAt(*energy, "l2_ways_read");
-        result.energy.l1Entries = static_cast<std::uint64_t>(
-            numberAt(*energy, "l1_entries"));
-        result.energy.l2Entries = static_cast<std::uint64_t>(
-            numberAt(*energy, "l2_entries"));
-        result.energy.l1Fills = numberAt(*energy, "l1_fills");
-        result.energy.l2Fills = numberAt(*energy, "l2_fills");
-        result.energy.fillBurstFactor =
-            numberAt(*energy, "fill_burst_factor");
-        result.energy.walkAccesses = numberAt(*energy, "walk_accesses");
-        result.energy.walkDramAccesses =
-            numberAt(*energy, "walk_dram_accesses");
-        result.energy.dirtyOps = numberAt(*energy, "dirty_ops");
-        result.energy.invalidations =
-            numberAt(*energy, "invalidations");
-        result.energy.predictorLookups =
-            numberAt(*energy, "predictor_lookups");
-        const json::Value *skew = energy->find("skew_timestamps");
-        result.energy.skewTimestamps = skew && skew->boolean();
-        result.energy.totalCycles = numberAt(*energy, "total_cycles");
-    }
-    const json::Value *multi = record.find("multi");
-    if (multi) {
-        result.contextSwitches = numberAt(*multi, "context_switches");
-        result.fullFlushes = numberAt(*multi, "full_flushes");
-        if (const json::Value *rates =
-                multi->find("proc_l1_miss_rates")) {
-            for (const auto &[key, rate] : rates->members()) {
-                (void)key;
-                result.procL1MissRates.push_back(rate.number());
-            }
-        }
-    }
-    const json::Value *distribution = record.find("distribution");
-    if (distribution) {
-        result.distribution.bytes4k = static_cast<std::uint64_t>(
-            numberAt(*distribution, "bytes_4k"));
-        result.distribution.bytes2m = static_cast<std::uint64_t>(
-            numberAt(*distribution, "bytes_2m"));
-        result.distribution.bytes1g = static_cast<std::uint64_t>(
-            numberAt(*distribution, "bytes_1g"));
-    }
+    forEachField(result, RecordReader{record});
     return result;
 }
 
@@ -486,12 +477,9 @@ makeRecord(const SweepJob &job, const RunResult &result,
     record["status"] = status.ok ? "ok" : "failed";
     record["attempts"] = status.attempts;
     if (status.ok) {
-        auto blocks = resultJson(result);
-        record["metrics"] = blocks["metrics"];
-        record["energy"] = blocks["energy"];
-        record["distribution"] = blocks["distribution"];
-        if (const json::Value *multi = blocks.find("multi"))
-            record["multi"] = *multi;
+        const json::Value blocks = resultJson(result);
+        for (const auto &[name, block] : blocks.members())
+            record[name] = block;
     } else {
         auto &error = record["error"];
         error["kind"] = status.errorKind;

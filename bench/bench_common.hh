@@ -13,6 +13,7 @@
 #ifndef MIXTLB_BENCH_COMMON_HH
 #define MIXTLB_BENCH_COMMON_HH
 
+#include <array>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -48,6 +49,21 @@ scaledCaches()
     return params;
 }
 
+/**
+ * Process stats a record sums over the whole run, warmup included
+ * (warmup is where allocation happens, and the stat reset at
+ * startMeasurement() would otherwise discard it): THS superpage
+ * requests that fell back to 4KB pages, then the memory-pressure
+ * lifecycle — superpage demotions, frames freed by reclaim, demoted
+ * regions re-promoted, and the OOM-path observability counters. Each
+ * name is also the value's key in the record's "metrics" block. The
+ * fault and pressure soaks assert these go nonzero under injection.
+ */
+inline constexpr std::array<const char *, 7> LifecycleStats = {
+    "thp_fallbacks", "demotions", "reclaims", "repromotions",
+    "oom_retries", "demote_rescues", "compaction_rescues",
+};
+
 /** Everything a figure needs from one native-CPU run. */
 struct RunResult
 {
@@ -56,27 +72,8 @@ struct RunResult
     double l1MissRate = 0;
     double walksPerKref = 0;
     double accessesPerWalk = 0;
-    /**
-     * THS superpage requests that fell back to 4KB pages, summed over
-     * the whole run including warmup (warmup is where allocation
-     * happens, and the stat reset at startMeasurement() would
-     * otherwise discard it). The fault soak asserts this goes nonzero
-     * under injected buddy failure.
-     */
-    double thpFallbacks = 0;
-    /**
-     * Memory-pressure lifecycle activity, summed over the whole run
-     * including warmup (like thpFallbacks): superpage demotions, frames
-     * freed by reclaim, demoted regions re-promoted, and the OOM-path
-     * observability counters. The pressure soak asserts these go
-     * nonzero under injected demote storms and pressure bursts.
-     */
-    double demotions = 0;
-    double reclaims = 0;
-    double repromotions = 0;
-    double oomRetries = 0;
-    double demoteRescues = 0;
-    double compactionRescues = 0;
+    /** Summed LifecycleStats, index for index. */
+    std::array<double, LifecycleStats.size()> lifecycle{};
     os::PageSizeDistribution distribution{};
     /**
      * Per-process L1 TLB miss rates, context switches, and policy
@@ -89,8 +86,8 @@ struct RunResult
 };
 
 /**
- * Add the THS fallbacks and lifecycle counters of the process stat
- * groups @p procs to @p result. Called once before startMeasurement()
+ * Add the LifecycleStats of the process stat groups @p procs to
+ * @p result. Called once before startMeasurement()
  * (the reset would discard warmup-phase allocation and demotions) and
  * once more, through summarize(), after the run.
  */
@@ -405,7 +402,10 @@ class BenchSweep
                           const json::Value &record);
 };
 
-/** The "metrics" + "energy" + "distribution" JSON blocks for one run. */
+/**
+ * The "metrics", "energy", "distribution" and (multiprogrammed runs
+ * only) "multi" JSON blocks for one run.
+ */
 json::Value resultJson(const RunResult &result);
 
 /** The "config" JSON block for one job. */
@@ -413,7 +413,9 @@ json::Value configJson(const SweepJob &job);
 
 /**
  * Rebuild a RunResult from a record produced by resultJson() (used on
- * `--resume` so figure tables can still print restored points).
+ * `--resume` so figure tables can still print restored points). It
+ * reads back through resultJson()'s field list, so
+ * resultJson(resultFromJson(resultJson(r))) equals resultJson(r).
  */
 RunResult resultFromJson(const json::Value &record);
 

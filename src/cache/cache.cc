@@ -12,8 +12,8 @@ namespace mixtlb::cache
 Cache::Cache(const CacheParams &params, stats::StatGroup *parent)
     : params_(params),
       stats_(params.name, parent),
-      hits_(stats_.addScalar("hits", "cache hits")),
-      misses_(stats_.addScalar("misses", "cache misses"))
+      hits_(stats_.addCounter("hits", "cache hits")),
+      misses_(stats_.addCounter("misses", "cache misses"))
 {
     fatal_if(!isPowerOf2(params.lineBytes), "line size not a power of 2");
     fatal_if(params.assoc == 0, "zero associativity");
@@ -27,8 +27,10 @@ Cache::Cache(const CacheParams &params, stats::StatGroup *parent)
     tags_.resize(numSets_ * params.assoc);
     fill_.assign(numSets_, 0);
     stats_.addFormula("miss_rate", "miss fraction", [this] {
-        double total = hits_.value() + misses_.value();
-        return total > 0 ? misses_.value() / total : 0.0;
+        const auto total = static_cast<double>(hits_.value() +
+                                               misses_.value());
+        return total > 0 ? static_cast<double>(misses_.value()) / total
+                         : 0.0;
     });
 }
 
@@ -86,8 +88,8 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
       llc_(params.llc, &stats_),
       latency_{params.l1.hitLatency, params.l2.hitLatency,
                params.llc.hitLatency, params.memLatency},
-      memAccesses_(stats_.addScalar("mem_accesses",
-                                    "accesses that reached memory"))
+      memAccesses_(stats_.addCounter("mem_accesses",
+                                     "accesses that reached memory"))
 {
 }
 

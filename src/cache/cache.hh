@@ -88,8 +88,8 @@ class Cache
     std::vector<std::uint32_t> fill_;
 
     stats::StatGroup stats_;
-    stats::Scalar &hits_;
-    stats::Scalar &misses_;
+    stats::Counter &hits_;
+    stats::Counter &misses_;
 
     std::uint64_t
     tagOf(PAddr paddr) const
@@ -153,7 +153,7 @@ class CacheHierarchy
     /** Per-level hit latency indexed by HitLevel, so the hot path maps
      *  level to cycles with one load instead of a switch. */
     Cycles latency_[4];
-    stats::Scalar &memAccesses_;
+    stats::Counter &memAccesses_;
 };
 
 } // namespace mixtlb::cache

@@ -6,9 +6,8 @@
  * `std::uint64_t` tag lane, but left the scan one word per iteration:
  * the autovectorizer cannot prove first-match-index semantics through
  * the early return and mostly emits scalar compare/branch loops. This
- * header widens the scan explicitly — 4 tags per compare on AVX2, 2 on
- * SSE2/NEON — while keeping the result *provably* identical to the
- * scalar loop:
+ * header widens the scan explicitly — 4 tags per compare on AVX2 —
+ * while keeping the result *provably* identical to the scalar loop:
  *
  *   - Each vector compare produces a per-element mask; the mask is
  *     reduced with movemask so that bit k corresponds to element
@@ -22,9 +21,9 @@
  *     re-confirm tag hits against a full predicate (TagLaneSet) can
  *     resume the scan mid-lane past a confirm-rejected collision.
  *
- * Kernel selection is compile-time (`__AVX2__` / `__SSE2__` /
- * `__ARM_NEON` from the toolchain, see MIXTLB_AVX2 in CMakeLists.txt)
- * with a process-wide runtime kill switch layered on top: the
+ * Kernel selection is compile-time (`__AVX2__` from the toolchain, see
+ * MIXTLB_AVX2 in CMakeLists.txt; without it every kernel is the scalar
+ * reference) with a process-wide runtime kill switch layered on top: the
  * `MIXTLB_FORCE_SCALAR` environment variable seeds an atomic flag
  * (re-readable via setForceScalar(), mirroring the L0 filter's
  * setL0FilterEnabled() toggle) that routes every kernel through the
@@ -48,17 +47,9 @@
 
 #include "common/types.hh"
 
-#if !defined(MIXTLB_SIMD_DISABLED)
 #if defined(__AVX2__)
 #define MIXTLB_SIMD_AVX2 1
 #include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64)
-#define MIXTLB_SIMD_SSE2 1
-#include <immintrin.h>
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-#define MIXTLB_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 #endif
 
 namespace mixtlb::simd
@@ -127,10 +118,6 @@ compiledKernelName()
 {
 #if defined(MIXTLB_SIMD_AVX2)
     return "avx2";
-#elif defined(MIXTLB_SIMD_SSE2)
-    return "sse2";
-#elif defined(MIXTLB_SIMD_NEON)
-    return "neon";
 #else
     return "scalar";
 #endif
@@ -355,121 +342,6 @@ l0RunLengthVector(const MemRef *refs, std::size_t n, VAddr lo,
     return l0RunLengthScalar(refs, n, lo, stores_ok, i);
 }
 
-#elif defined(MIXTLB_SIMD_SSE2)
-
-// mixcheck: hot
-inline std::size_t
-firstEqualVector(const std::uint64_t *lane, std::size_t n,
-                 std::uint64_t tag, std::size_t i)
-{
-    // SSE2 has no 64-bit compare (_mm_cmpeq_epi64 is SSE4.1): compare
-    // 32-bit halves and require both. movemask_ps bit k = 32-bit
-    // element k, so 64-bit element j owns bits (2j, 2j+1) and matches
-    // iff both are set: m & (m >> 1) & 0b0101.
-    const __m128i needle =
-        _mm_set1_epi64x(static_cast<long long>(tag));
-    for (; i + 2 <= n; i += 2) {
-        const __m128i v = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(lane + i));
-        const unsigned m = static_cast<unsigned>(_mm_movemask_ps(
-            _mm_castsi128_ps(_mm_cmpeq_epi32(v, needle))));
-        const unsigned both = m & (m >> 1) & 0x5u;
-        if (both != 0)
-            return i +
-                   (static_cast<unsigned>(std::countr_zero(both)) >> 1);
-    }
-    return firstEqualScalar(lane, n, tag, i);
-}
-
-// mixcheck: hot
-inline std::size_t
-firstEqualAnyVector(const std::uint64_t *lane, std::size_t n,
-                    const std::uint64_t *cands, unsigned ncands,
-                    std::size_t i)
-{
-    if (ncands == 0)
-        return npos;
-    if (ncands > MaxHoistedCands)
-        return firstEqualAnyScalar(lane, n, cands, ncands, i);
-    __m128i needles[MaxHoistedCands];
-    for (unsigned c = 0; c < ncands; ++c)
-        needles[c] = _mm_set1_epi64x(static_cast<long long>(cands[c]));
-    for (; i + 2 <= n; i += 2) {
-        const __m128i v = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(lane + i));
-        unsigned both = 0;
-        for (unsigned c = 0; c < ncands; ++c) {
-            const unsigned m = static_cast<unsigned>(_mm_movemask_ps(
-                _mm_castsi128_ps(_mm_cmpeq_epi32(v, needles[c]))));
-            both |= m & (m >> 1) & 0x5u;
-        }
-        if (both != 0)
-            return i +
-                   (static_cast<unsigned>(std::countr_zero(both)) >> 1);
-    }
-    return firstEqualAnyScalar(lane, n, cands, ncands, i);
-}
-
-inline std::size_t
-l0RunLengthVector(const MemRef *refs, std::size_t n, VAddr lo,
-                  bool stores_ok, std::size_t i)
-{
-    // Unsigned 64-bit range checks are not worth emulating pre-AVX2.
-    return l0RunLengthScalar(refs, n, lo, stores_ok, i);
-}
-
-#elif defined(MIXTLB_SIMD_NEON)
-
-// mixcheck: hot
-inline std::size_t
-firstEqualVector(const std::uint64_t *lane, std::size_t n,
-                 std::uint64_t tag, std::size_t i)
-{
-    const uint64x2_t needle = vdupq_n_u64(tag);
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t eq = vceqq_u64(vld1q_u64(lane + i), needle);
-        // Lane 0 checked before lane 1: lowest index wins.
-        if (vgetq_lane_u64(eq, 0) != 0)
-            return i;
-        if (vgetq_lane_u64(eq, 1) != 0)
-            return i + 1;
-    }
-    return firstEqualScalar(lane, n, tag, i);
-}
-
-// mixcheck: hot
-inline std::size_t
-firstEqualAnyVector(const std::uint64_t *lane, std::size_t n,
-                    const std::uint64_t *cands, unsigned ncands,
-                    std::size_t i)
-{
-    if (ncands == 0)
-        return npos;
-    if (ncands > MaxHoistedCands)
-        return firstEqualAnyScalar(lane, n, cands, ncands, i);
-    uint64x2_t needles[MaxHoistedCands];
-    for (unsigned c = 0; c < ncands; ++c)
-        needles[c] = vdupq_n_u64(cands[c]);
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t v = vld1q_u64(lane + i);
-        uint64x2_t eq = vceqq_u64(v, needles[0]);
-        for (unsigned c = 1; c < ncands; ++c)
-            eq = vorrq_u64(eq, vceqq_u64(v, needles[c]));
-        if (vgetq_lane_u64(eq, 0) != 0)
-            return i;
-        if (vgetq_lane_u64(eq, 1) != 0)
-            return i + 1;
-    }
-    return firstEqualAnyScalar(lane, n, cands, ncands, i);
-}
-
-inline std::size_t
-l0RunLengthVector(const MemRef *refs, std::size_t n, VAddr lo,
-                  bool stores_ok, std::size_t i)
-{
-    return l0RunLengthScalar(refs, n, lo, stores_ok, i);
-}
-
 #endif
 
 // ---------------------------------------------------------------------
@@ -488,8 +360,7 @@ inline std::size_t
 firstEqual(const std::uint64_t *lane, std::size_t n, std::uint64_t tag,
            std::size_t start = 0)
 {
-#if defined(MIXTLB_SIMD_AVX2) || defined(MIXTLB_SIMD_SSE2) || \
-    defined(MIXTLB_SIMD_NEON)
+#if defined(MIXTLB_SIMD_AVX2)
     if (!scalarForced()) [[likely]]
         return firstEqualVector(lane, n, tag, start);
 #endif
@@ -506,8 +377,7 @@ firstEqualAny(const std::uint64_t *lane, std::size_t n,
               const std::uint64_t *cands, unsigned ncands,
               std::size_t start = 0)
 {
-#if defined(MIXTLB_SIMD_AVX2) || defined(MIXTLB_SIMD_SSE2) || \
-    defined(MIXTLB_SIMD_NEON)
+#if defined(MIXTLB_SIMD_AVX2)
     if (!scalarForced()) [[likely]]
         return firstEqualAnyVector(lane, n, cands, ncands, start);
 #endif
@@ -532,8 +402,7 @@ l0RunLength(const MemRef *refs, std::size_t n, VAddr lo, bool stores_ok)
     const std::size_t run = l0RunLengthScalar(refs, head, lo, stores_ok, 0);
     if (run < head || run == n)
         return run;
-#if defined(MIXTLB_SIMD_AVX2) || defined(MIXTLB_SIMD_SSE2) || \
-    defined(MIXTLB_SIMD_NEON)
+#if defined(MIXTLB_SIMD_AVX2)
     if (!scalarForced()) [[likely]]
         return l0RunLengthVector(refs, n, lo, stores_ok, run);
 #endif

@@ -2,7 +2,7 @@
  * @file
  * A small gem5-flavoured statistics package.
  *
- * Components own a StatGroup; they register named Scalar counters,
+ * Components own a StatGroup; they register named Counters,
  * Distributions, and Formulas (derived values computed at dump time).
  * Groups nest, so a TLB hierarchy dumps all its children with dotted
  * names (e.g. "l1.mix.hits").
@@ -21,39 +21,26 @@
 namespace mixtlb::stats
 {
 
-/** A monotonically updated scalar statistic. */
-class Scalar
-{
-  public:
-    Scalar &operator++() { value_ += 1.0; return *this; }
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator=(double v) { value_ = v; return *this; }
-
-    double value() const { return value_; }
-    void reset() { value_ = 0.0; }
-
-  private:
-    double value_ = 0.0;
-};
-
 /**
- * An integer event counter. Unlike Scalar (double-backed, which
- * silently loses precision once a count passes 2^53), Counter
- * accumulates in a uint64_t and converts to double only at report
- * time — the right type for hot-path event counts like TLB probes
- * and walk accesses.
+ * An integer event count, the one scalar stat type. It accumulates in
+ * a signed 64-bit integer and converts to double only at report time,
+ * so counts stay exact (a double loses increments past 2^53) and dump
+ * as integers. Signed because a few stats are net counts that can dip
+ * below zero after a reset: a reservation promoted after
+ * resetStats() takes back 4KB faults counted before it.
  */
 class Counter
 {
   public:
     Counter &operator++() { value_ += 1; return *this; }
-    Counter &operator+=(std::uint64_t v) { value_ += v; return *this; }
+    Counter &operator+=(std::int64_t v) { value_ += v; return *this; }
+    Counter &operator-=(std::int64_t v) { value_ -= v; return *this; }
 
-    std::uint64_t value() const { return value_; }
+    std::int64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
   private:
-    std::uint64_t value_ = 0;
+    std::int64_t value_ = 0;
 };
 
 /** A simple sampled distribution (min/max/mean plus fixed buckets). */
@@ -98,10 +85,7 @@ class StatGroup
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
-    /** Register a scalar under @p name; returns it for in-place use. */
-    Scalar &addScalar(const std::string &name, const std::string &desc);
-
-    /** Register an integer counter under @p name. */
+    /** Register a counter under @p name; returns it for in-place use. */
     Counter &addCounter(const std::string &name, const std::string &desc);
 
     /** Register a distribution under @p name. */
@@ -113,17 +97,10 @@ class StatGroup
     void addFormula(const std::string &name, const std::string &desc,
                     Formula formula);
 
-    /** Look up a previously registered scalar; panics if missing. */
-    const Scalar &scalar(const std::string &name) const;
-
     /** Look up a previously registered counter; panics if missing. */
     const Counter &counter(const std::string &name) const;
 
-    /**
-     * Value of the statistic at dotted path @p name — a Counter
-     * (converted to double) or a Scalar. Panics if neither exists, so
-     * call sites don't care which concrete type a stat migrated to.
-     */
+    /** Value of the counter at dotted path @p name, as a double. */
     double value(const std::string &name) const;
 
     /** Dotted path from the root group. */
@@ -138,7 +115,6 @@ class StatGroup
     void resetStats();
 
   private:
-    struct ScalarEntry { Scalar stat; std::string desc; };
     struct CounterEntry { Counter stat; std::string desc; };
     struct DistEntry { Distribution stat; std::string desc; };
     struct FormulaEntry { Formula formula; std::string desc; };
@@ -147,7 +123,6 @@ class StatGroup
     StatGroup *parent_;
     std::vector<StatGroup *> children_;
     // std::map keeps dump output deterministically sorted.
-    std::map<std::string, ScalarEntry> scalars_;
     std::map<std::string, CounterEntry> counters_;
     std::map<std::string, DistEntry> dists_;
     std::map<std::string, FormulaEntry> formulas_;

@@ -11,19 +11,19 @@ MemoryManager::MemoryManager(mem::PhysMem &mem, stats::StatGroup *parent,
                              CompactionParams params)
     : mem_(mem), params_(params), rng_(params.seed),
       stats_("mm", parent),
-      directAllocs_(stats_.addScalar("direct_allocs",
+      directAllocs_(stats_.addCounter("direct_allocs",
           "contiguous allocations satisfied without compaction")),
-      compactionAttempts_(stats_.addScalar("compaction_attempts",
+      compactionAttempts_(stats_.addCounter("compaction_attempts",
           "compaction scans started")),
-      compactionSuccesses_(stats_.addScalar("compaction_successes",
+      compactionSuccesses_(stats_.addCounter("compaction_successes",
           "compaction scans that produced a free region")),
-      compactionDeferred_(stats_.addScalar("compaction_deferred",
+      compactionDeferred_(stats_.addCounter("compaction_deferred",
           "allocations that skipped compaction due to backoff")),
-      pagesMigrated_(stats_.addScalar("pages_migrated",
+      pagesMigrated_(stats_.addCounter("pages_migrated",
           "movable pages migrated by compaction")),
-      reclaimRequests_(stats_.addScalar("reclaim_requests",
+      reclaimRequests_(stats_.addCounter("reclaim_requests",
           "failed allocations that invoked the reclaimers")),
-      framesReclaimed_(stats_.addScalar("frames_reclaimed",
+      framesReclaimed_(stats_.addCounter("frames_reclaimed",
           "frames freed by the registered reclaimers"))
 {
 }
@@ -59,7 +59,7 @@ MemoryManager::reclaim(std::uint64_t want)
             break;
         freed += fn(want - freed);
     }
-    framesReclaimed_ += static_cast<double>(freed);
+    framesReclaimed_ += static_cast<std::int64_t>(freed);
     inReclaim_ = false;
     return freed;
 }

@@ -160,13 +160,13 @@ class MemoryManager
     unsigned deferCount_ = 0;
 
     stats::StatGroup stats_;
-    stats::Scalar &directAllocs_;
-    stats::Scalar &compactionAttempts_;
-    stats::Scalar &compactionSuccesses_;
-    stats::Scalar &compactionDeferred_;
-    stats::Scalar &pagesMigrated_;
-    stats::Scalar &reclaimRequests_;
-    stats::Scalar &framesReclaimed_;
+    stats::Counter &directAllocs_;
+    stats::Counter &compactionAttempts_;
+    stats::Counter &compactionSuccesses_;
+    stats::Counter &compactionDeferred_;
+    stats::Counter &pagesMigrated_;
+    stats::Counter &reclaimRequests_;
+    stats::Counter &framesReclaimed_;
 
     /**
      * Let the reclaimers free pow2(order) frames, then retry the

@@ -29,12 +29,12 @@ Process::Process(MemoryManager &mm, const ProcessParams &params,
     : mm_(mm), params_(params), pageTable_(mm.phys()),
       nextMmap_(alignUp(params.mmapBase, PageBytes1G)),
       stats_(params.name, parent),
-      faults4k_(stats_.addScalar("faults_4k", "4KB page faults")),
-      faults2m_(stats_.addScalar("faults_2m", "2MB page faults")),
-      faults1g_(stats_.addScalar("faults_1g", "1GB page faults")),
-      thpFallbacks_(stats_.addScalar("thp_fallbacks",
+      faults4k_(stats_.addCounter("faults_4k", "4KB page faults")),
+      faults2m_(stats_.addCounter("faults_2m", "2MB page faults")),
+      faults1g_(stats_.addCounter("faults_1g", "1GB page faults")),
+      thpFallbacks_(stats_.addCounter("thp_fallbacks",
           "THS faults that fell back to 4KB pages")),
-      migrations_(stats_.addScalar("migrations",
+      migrations_(stats_.addCounter("migrations",
           "pages migrated away by compaction")),
       demotions_(stats_.addCounter("demotions",
           "superpages demoted to the next smaller page size")),
@@ -361,7 +361,7 @@ Process::promoteReservation(VAddr region, const Reservation &res)
     // Retire the (now empty) PT so the PD slot can hold the leaf.
     pageTable_.clearLevelEntry(region, pt::leafLevel(PageSize::Size2M));
     pageTable_.map(region, res.block << PageShift4K, PageSize::Size2M);
-    faults4k_ += -static_cast<double>(Frames2M);
+    faults4k_ -= Frames2M;
     ++faults2m_;
     resident4k_ -= Frames2M;
     ++resident2m_;

@@ -208,11 +208,11 @@ class Process : public MovableOwner
     std::uint64_t repromoteDefer_ = 0;
 
     stats::StatGroup stats_;
-    stats::Scalar &faults4k_;
-    stats::Scalar &faults2m_;
-    stats::Scalar &faults1g_;
-    stats::Scalar &thpFallbacks_;
-    stats::Scalar &migrations_;
+    stats::Counter &faults4k_;
+    stats::Counter &faults2m_;
+    stats::Counter &faults1g_;
+    stats::Counter &thpFallbacks_;
+    stats::Counter &migrations_;
     stats::Counter &demotions_;
     stats::Counter &reclaims_;
     stats::Counter &repromotions_;

@@ -21,36 +21,75 @@ switchPolicyName(SwitchPolicy policy)
     return "unknown";
 }
 
+namespace
+{
+
+/**
+ * The stats MultiMachine attributes to the running process: each one's
+ * name in the "p<index>" group, its description, and how to read the
+ * shared hierarchy's running total. The first two feed l1_miss_rate.
+ */
+struct Attributed
+{
+    const char *name;
+    const char *desc;
+    double (*read)(const tlb::TlbHierarchy &);
+};
+
+using Hier = tlb::TlbHierarchy;
+
+constexpr Attributed attributedStats[] = {
+    {"accesses", "translated references attributed to this process",
+     [](const Hier &h) { return h.accessCount(); }},
+    {"l1_hits", "L1 TLB hits",
+     [](const Hier &h) { return h.l1HitCount(); }},
+    {"l2_hits", "L2 TLB hits",
+     [](const Hier &h) { return h.l2HitCount(); }},
+    {"walks", "page table walks",
+     [](const Hier &h) { return h.walkCount(); }},
+    {"walk_cycles", "cycles spent in walks",
+     [](const Hier &h) { return h.walkCycleCount(); }},
+    {"translation_cycles", "total address translation cycles",
+     [](const Hier &h) { return h.translationCycleCount(); }},
+    {"walk_accesses", "memory references issued by walks",
+     [](const Hier &h) { return h.walkAccessCount(); }},
+    {"walk_dram_accesses", "walk references that reached DRAM",
+     [](const Hier &h) { return h.walkDramAccessCount(); }},
+    {"dirty_ops", "dirty-bit update micro-ops",
+     [](const Hier &h) { return h.dirtyMicroOpCount(); }},
+    {"l1_ways_read", "L1 TLB ways read during this process's slices",
+     [](const Hier &h) { return h.l1().waysReadCount(); }},
+    {"l2_ways_read", "L2 TLB ways read during this process's slices",
+     [](const Hier &h) { return h.l2().waysReadCount(); }},
+    {"l1_fills", "L1 TLB fills",
+     [](const Hier &h) { return h.l1().fillCount(); }},
+    {"l2_fills", "L2 TLB fills",
+     [](const Hier &h) { return h.l2().fillCount(); }},
+};
+
+} // anonymous namespace
+
 MultiMachine::ProcStats::ProcStats(unsigned index,
                                    stats::StatGroup *parent)
     : group("p" + std::to_string(index), parent),
-      accesses(group.addScalar("accesses",
-          "translated references attributed to this process")),
-      l1Hits(group.addScalar("l1_hits", "L1 TLB hits")),
-      l2Hits(group.addScalar("l2_hits", "L2 TLB hits")),
-      walks(group.addScalar("walks", "page table walks")),
-      walkCycles(group.addScalar("walk_cycles",
-                                 "cycles spent in walks")),
-      translationCycles(group.addScalar("translation_cycles",
-          "total address translation cycles")),
-      walkAccesses(group.addScalar("walk_accesses",
-          "memory references issued by walks")),
-      walkDramAccesses(group.addScalar("walk_dram_accesses",
-          "walk references that reached DRAM")),
-      dirtyOps(group.addScalar("dirty_ops",
-          "dirty-bit update micro-ops")),
-      l1WaysRead(group.addScalar("l1_ways_read",
-          "L1 TLB ways read during this process's slices")),
-      l2WaysRead(group.addScalar("l2_ways_read",
-          "L2 TLB ways read during this process's slices")),
-      l1Fills(group.addScalar("l1_fills", "L1 TLB fills")),
-      l2Fills(group.addScalar("l2_fills", "L2 TLB fills")),
-      slices(group.addScalar("slices", "scheduling slices executed"))
+      slices(group.addCounter("slices", "scheduling slices executed"))
 {
-    group.addFormula("l1_miss_rate", "L1 TLB miss fraction", [this] {
-        double total = accesses.value();
-        return total > 0 ? 1.0 - l1Hits.value() / total : 0.0;
-    });
+    static_assert(std::size(attributedStats) == NumAttributed);
+    for (std::size_t k = 0; k < NumAttributed; k++) {
+        attributed[k] = &group.addCounter(attributedStats[k].name,
+                                          attributedStats[k].desc);
+    }
+    group.addFormula("l1_miss_rate", "L1 TLB miss fraction",
+                     [this] { return l1MissRate(); });
+}
+
+double
+MultiMachine::ProcStats::l1MissRate() const
+{
+    const auto total = static_cast<double>(attributed[0]->value());
+    return total > 0
+               ? 1.0 - static_cast<double>(attributed[1]->value()) / total
+               : 0.0;
 }
 
 MultiMachine::MultiMachine(const MultiMachineParams &params)
@@ -63,9 +102,9 @@ MultiMachine::MultiMachine(const MultiMachineParams &params)
           }()),
       memhog_(mm_, params.memhogUnmovableShare),
       caches_(params.caches, &root_), sched_("sched", &root_),
-      switches_(sched_.addScalar("context_switches",
+      switches_(sched_.addCounter("context_switches",
           "context switches performed")),
-      flushes_(sched_.addScalar("full_flushes",
+      flushes_(sched_.addCounter("full_flushes",
           "TLB+PWC full flushes forced by the switch policy"))
 {
     fatal_if(params.procs.empty(),
@@ -148,19 +187,8 @@ MultiMachine::Snapshot
 MultiMachine::takeSnapshot() const
 {
     Snapshot s;
-    s.accesses = hier_->accessCount();
-    s.l1Hits = hier_->l1HitCount();
-    s.l2Hits = hier_->l2HitCount();
-    s.walks = hier_->walkCount();
-    s.walkCycles = hier_->walkCycleCount();
-    s.translationCycles = hier_->translationCycleCount();
-    s.walkAccesses = hier_->walkAccessCount();
-    s.walkDramAccesses = hier_->walkDramAccessCount();
-    s.dirtyOps = hier_->dirtyMicroOpCount();
-    s.l1WaysRead = hier_->l1().waysReadCount();
-    s.l2WaysRead = hier_->l2().waysReadCount();
-    s.l1Fills = hier_->l1().fillCount();
-    s.l2Fills = hier_->l2().fillCount();
+    for (std::size_t k = 0; k < NumAttributed; k++)
+        s[k] = static_cast<std::int64_t>(attributedStats[k].read(*hier_));
     return s;
 }
 
@@ -169,21 +197,8 @@ MultiMachine::accumulate(unsigned proc, const Snapshot &before)
 {
     const Snapshot now = takeSnapshot();
     ProcStats &ps = *procStats_[proc];
-    ps.accesses += now.accesses - before.accesses;
-    ps.l1Hits += now.l1Hits - before.l1Hits;
-    ps.l2Hits += now.l2Hits - before.l2Hits;
-    ps.walks += now.walks - before.walks;
-    ps.walkCycles += now.walkCycles - before.walkCycles;
-    ps.translationCycles +=
-        now.translationCycles - before.translationCycles;
-    ps.walkAccesses += now.walkAccesses - before.walkAccesses;
-    ps.walkDramAccesses +=
-        now.walkDramAccesses - before.walkDramAccesses;
-    ps.dirtyOps += now.dirtyOps - before.dirtyOps;
-    ps.l1WaysRead += now.l1WaysRead - before.l1WaysRead;
-    ps.l2WaysRead += now.l2WaysRead - before.l2WaysRead;
-    ps.l1Fills += now.l1Fills - before.l1Fills;
-    ps.l2Fills += now.l2Fills - before.l2Fills;
+    for (std::size_t k = 0; k < NumAttributed; k++)
+        *ps.attributed[k] += now[k] - before[k];
     ++ps.slices;
 }
 
@@ -299,15 +314,13 @@ MultiMachine::energyInputs() const
 double
 MultiMachine::procStat(unsigned proc, const std::string &name) const
 {
-    return procStats_.at(proc)->group.scalar(name).value();
+    return procStats_.at(proc)->group.value(name);
 }
 
 double
 MultiMachine::procL1MissRate(unsigned proc) const
 {
-    const ProcStats &ps = *procStats_.at(proc);
-    const double total = ps.accesses.value();
-    return total > 0 ? 1.0 - ps.l1Hits.value() / total : 0.0;
+    return procStats_.at(proc)->l1MissRate();
 }
 
 os::PageSizeDistribution

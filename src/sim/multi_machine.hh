@@ -12,6 +12,7 @@
 #ifndef MIXTLB_SIM_MULTI_MACHINE_HH
 #define MIXTLB_SIM_MULTI_MACHINE_HH
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,7 +114,7 @@ class MultiMachine
     /** Machine-wide energy-model inputs. */
     perf::EnergyInputs energyInputs() const;
 
-    /** Per-process attribution scalar @p name (group "p<proc>"). */
+    /** Per-process attribution stat @p name (group "p<proc>"). */
     double procStat(unsigned proc, const std::string &name) const;
 
     /** Per-process L1 TLB miss fraction over the measured window. */
@@ -121,8 +122,14 @@ class MultiMachine
 
     os::PageSizeDistribution distribution(unsigned proc) const;
 
-    double contextSwitches() const { return switches_.value(); }
-    double fullFlushes() const { return flushes_.value(); }
+    double contextSwitches() const
+    {
+        return static_cast<double>(switches_.value());
+    }
+    double fullFlushes() const
+    {
+        return static_cast<double>(flushes_.value());
+    }
 
     os::Process &process(unsigned proc) { return *procs_.at(proc); }
     tlb::TlbHierarchy &tlbs() { return *hier_; }
@@ -131,36 +138,22 @@ class MultiMachine
     SwitchPolicy policy() const { return params_.policy; }
 
   private:
-    /** Snapshot of the shared hierarchy's counters for attribution. */
-    struct Snapshot
-    {
-        double accesses = 0, l1Hits = 0, l2Hits = 0, walks = 0;
-        double walkCycles = 0, translationCycles = 0;
-        double walkAccesses = 0, walkDramAccesses = 0, dirtyOps = 0;
-        double l1WaysRead = 0, l2WaysRead = 0;
-        double l1Fills = 0, l2Fills = 0;
-    };
+    /** Stats attributed per process (the table in multi_machine.cc). */
+    static constexpr std::size_t NumAttributed = 13;
 
-    /** Per-process attribution scalars, group "p<index>". */
+    /** The shared hierarchy's attributed counts, in table order. */
+    using Snapshot = std::array<std::int64_t, NumAttributed>;
+
+    /** Per-process attribution counters, group "p<index>". */
     struct ProcStats
     {
         ProcStats(unsigned index, stats::StatGroup *parent);
 
+        double l1MissRate() const;
+
         stats::StatGroup group;
-        stats::Scalar &accesses;
-        stats::Scalar &l1Hits;
-        stats::Scalar &l2Hits;
-        stats::Scalar &walks;
-        stats::Scalar &walkCycles;
-        stats::Scalar &translationCycles;
-        stats::Scalar &walkAccesses;
-        stats::Scalar &walkDramAccesses;
-        stats::Scalar &dirtyOps;
-        stats::Scalar &l1WaysRead;
-        stats::Scalar &l2WaysRead;
-        stats::Scalar &l1Fills;
-        stats::Scalar &l2Fills;
-        stats::Scalar &slices;
+        std::array<stats::Counter *, NumAttributed> attributed;
+        stats::Counter &slices;
     };
 
     Snapshot takeSnapshot() const;
@@ -187,8 +180,8 @@ class MultiMachine
     std::vector<std::unique_ptr<ProcStats>> procStats_;
 
     stats::StatGroup sched_;
-    stats::Scalar &switches_;
-    stats::Scalar &flushes_;
+    stats::Counter &switches_;
+    stats::Counter &flushes_;
 
     unsigned current_ = 0;
     bool everSwitched_ = false;

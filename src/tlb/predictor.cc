@@ -7,8 +7,8 @@ SizePredictor::SizePredictor(const std::string &name,
                              stats::StatGroup *parent, unsigned entries)
     : table_(entries, PageSize::Size4K),
       stats_(name, parent),
-      correct_(stats_.addScalar("correct", "correct size predictions")),
-      wrong_(stats_.addScalar("wrong", "wrong size predictions"))
+      correct_(stats_.addCounter("correct", "correct size predictions")),
+      wrong_(stats_.addCounter("wrong", "wrong size predictions"))
 {
     stats_.addFormula("accuracy", "prediction accuracy", [this] {
         return accuracy();
@@ -50,8 +50,10 @@ SizePredictor::recordOutcome(bool correct)
 double
 SizePredictor::accuracy() const
 {
-    double total = correct_.value() + wrong_.value();
-    return total > 0 ? correct_.value() / total : 0.0;
+    const auto total =
+        static_cast<double>(correct_.value() + wrong_.value());
+    return total > 0 ? static_cast<double>(correct_.value()) / total
+                     : 0.0;
 }
 
 } // namespace mixtlb::tlb

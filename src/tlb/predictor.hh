@@ -45,8 +45,8 @@ class SizePredictor
     std::vector<PageSize> table_;
 
     stats::StatGroup stats_;
-    stats::Scalar &correct_;
-    stats::Scalar &wrong_;
+    stats::Counter &correct_;
+    stats::Counter &wrong_;
 
     std::size_t indexOf(VAddr vaddr) const;
 };

@@ -8,8 +8,8 @@ namespace mixtlb::virt
 Vm::Vm(os::MemoryManager &host_mm, const VmParams &params,
        stats::StatGroup *parent)
     : params_(params), stats_(params.name, parent),
-      eptFaults_(stats_.addScalar("ept_faults",
-                                  "EPT violations serviced"))
+      eptFaults_(stats_.addCounter("ept_faults",
+                                   "EPT violations serviced"))
 {
     guestPhys_ = std::make_unique<mem::PhysMem>(params.guestMemBytes);
     guestMm_ = std::make_unique<os::MemoryManager>(*guestPhys_, &stats_);

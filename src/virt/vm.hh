@@ -89,7 +89,7 @@ class Vm
     std::unique_ptr<os::Process> eptProc_;
     VAddr eptBase_;
 
-    stats::Scalar &eptFaults_;
+    stats::Counter &eptFaults_;
 };
 
 } // namespace mixtlb::virt

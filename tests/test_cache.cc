@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "cache/cache.hh"
 
 using namespace mixtlb;
@@ -35,8 +37,25 @@ TEST(Cache, MissThenHit)
     EXPECT_TRUE(cache.access(0x1000, false));
     EXPECT_TRUE(cache.access(0x103f, false)); // same line
     EXPECT_FALSE(cache.access(0x1040, false)); // next line
-    EXPECT_EQ(root.scalar("tiny.hits").value(), 2.0);
-    EXPECT_EQ(root.scalar("tiny.misses").value(), 2.0);
+    EXPECT_EQ(root.value("tiny.hits"), 2.0);
+    EXPECT_EQ(root.value("tiny.misses"), 2.0);
+}
+
+TEST(Cache, CountsDumpAsExactIntegers)
+{
+    // Past 10^6 events a double-formatted stat prints six significant
+    // digits ("1.23457e+06"); a count must print every digit.
+    stats::StatGroup root("test");
+    Cache cache(tinyCache(), &root);
+    EXPECT_FALSE(cache.access(0x1000, false));
+    for (int i = 0; i < 1234567; i++)
+        cache.access(0x1000, false);
+    std::ostringstream out;
+    root.dump(out);
+    EXPECT_NE(out.str().find("test.tiny.hits"), std::string::npos);
+    EXPECT_NE(out.str().find(" 1234567 "), std::string::npos)
+        << out.str();
+    EXPECT_EQ(out.str().find("e+06"), std::string::npos) << out.str();
 }
 
 TEST(Cache, LruEvictionWithinSet)
@@ -68,8 +87,8 @@ TEST(Cache, ContainsDoesNotPerturb)
     stats::StatGroup root("test");
     Cache cache(tinyCache(), &root);
     EXPECT_FALSE(cache.contains(0x1000));
-    EXPECT_EQ(root.scalar("tiny.hits").value(), 0.0);
-    EXPECT_EQ(root.scalar("tiny.misses").value(), 0.0);
+    EXPECT_EQ(root.value("tiny.hits"), 0.0);
+    EXPECT_EQ(root.value("tiny.misses"), 0.0);
 }
 
 TEST(Cache, FlushEmptiesEverything)

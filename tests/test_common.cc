@@ -151,26 +151,34 @@ TEST(Zipf, RanksSkewTowardZero)
     EXPECT_GT(head, n / 4);
 }
 
-TEST(Stats, ScalarBasics)
+TEST(Stats, CounterIsANetCount)
 {
+    // Net counts (faults_4k after a reservation promotion) subtract;
+    // a signed counter reads and prints the exact negative value.
     stats::StatGroup root("root");
-    auto &s = root.addScalar("hits", "hit count");
-    ++s;
-    s += 2.5;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    EXPECT_DOUBLE_EQ(root.scalar("hits").value(), 3.5);
+    auto &faults = root.addCounter("faults", "net fault count");
+    ++faults;
+    faults -= 512;
+    EXPECT_EQ(faults.value(), -511);
+    EXPECT_DOUBLE_EQ(root.value("faults"), -511.0);
+    std::ostringstream out;
+    root.dump(out);
+    EXPECT_NE(out.str().find("root.faults"), std::string::npos);
+    EXPECT_NE(out.str().find("-511 "), std::string::npos);
     root.resetStats();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
+    EXPECT_EQ(faults.value(), 0);
 }
 
 TEST(Stats, FormulaEvaluatesLazily)
 {
     stats::StatGroup root("root");
-    auto &hits = root.addScalar("hits", "");
-    auto &misses = root.addScalar("misses", "");
+    auto &hits = root.addCounter("hits", "");
+    auto &misses = root.addCounter("misses", "");
     root.addFormula("hit_rate", "hits / accesses", [&] {
-        double total = hits.value() + misses.value();
-        return total > 0 ? hits.value() / total : 0.0;
+        const auto total = static_cast<double>(hits.value() +
+                                               misses.value());
+        return total > 0 ? static_cast<double>(hits.value()) / total
+                         : 0.0;
     });
     hits += 3;
     misses += 1;
@@ -200,7 +208,7 @@ TEST(Stats, NestedGroupPaths)
 {
     stats::StatGroup root("system");
     stats::StatGroup child("l1", &root);
-    child.addScalar("hits", "") += 7;
+    child.addCounter("hits", "") += 7;
     std::ostringstream os;
     root.dump(os);
     EXPECT_NE(os.str().find("system.l1.hits"), std::string::npos);
@@ -209,8 +217,8 @@ TEST(Stats, NestedGroupPaths)
 TEST(StatsDeathTest, DuplicateNamePanics)
 {
     stats::StatGroup root("root");
-    root.addScalar("x", "");
-    EXPECT_DEATH(root.addScalar("x", ""), "duplicate");
+    root.addCounter("x", "");
+    EXPECT_DEATH(root.addCounter("x", ""), "duplicate");
 }
 
 TEST(Json, ScalarsAndEscaping)
@@ -492,7 +500,7 @@ TEST(InlineVecDeathTest, OverflowTrapsOnTheArchitecturalBound)
 }
 
 // ---------------------------------------------------------------------
-// stats::Counter: integer-precision hot counters beside Scalars.
+// stats::Counter: integer-precision event counts.
 
 TEST(Stats, CountersAccumulateExactlyAndPrint)
 {
@@ -500,33 +508,22 @@ TEST(Stats, CountersAccumulateExactlyAndPrint)
     auto &walks = root.addCounter("walks", "walk count");
     ++walks;
     walks += 41;
-    EXPECT_EQ(walks.value(), 42u);
+    EXPECT_EQ(walks.value(), 42);
     EXPECT_DOUBLE_EQ(root.value("walks"), 42.0);
     std::ostringstream out;
     root.dump(out);
     EXPECT_NE(out.str().find("walks"), std::string::npos);
     root.resetStats();
-    EXPECT_EQ(walks.value(), 0u);
+    EXPECT_EQ(walks.value(), 0);
 }
 
-TEST(Stats, ValueReadsCountersAndScalarsThroughOnePath)
+TEST(Stats, ValueReadsDottedCounterPaths)
 {
     stats::StatGroup root("root");
     stats::StatGroup child("child", &root);
     child.addCounter("hits", "") += 7;
-    child.addScalar("ratio", "") += 0.5;
     EXPECT_DOUBLE_EQ(root.value("child.hits"), 7.0);
-    EXPECT_DOUBLE_EQ(root.value("child.ratio"), 0.5);
-}
-
-TEST(StatsDeathTest, CounterScalarNameCollisionPanics)
-{
-    stats::StatGroup root("root");
-    root.addCounter("x", "");
-    EXPECT_DEATH(root.addScalar("x", ""), "duplicate");
-    stats::StatGroup other("other");
-    other.addScalar("y", "");
-    EXPECT_DEATH(other.addCounter("y", ""), "duplicate");
+    EXPECT_DOUBLE_EQ(child.value("hits"), 7.0);
 }
 
 TEST(StatsDeathTest, UnknownValueNamePanics)

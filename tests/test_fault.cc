@@ -268,6 +268,7 @@ TEST(FaultInjection, PartialBuddyFailureDegradesToSmallPages)
     // outcomes the resilient sweep is built around. The seed loop is
     // deterministic, so the found seed never changes.
     ParanoiaGuard guard(1);
+    ASSERT_STREQ(LifecycleStats[0], "thp_fallbacks");
     NativeRunConfig config;
     config.memBytes = 256 * MiB;
     config.footprintBytes = 64 * MiB;
@@ -279,7 +280,7 @@ TEST(FaultInjection, PartialBuddyFailureDegradesToSmallPages)
         try {
             RunResult result = runNative(config);
             if (scope.fired(fault::Site::BuddyAlloc) > 0
-                && result.thpFallbacks > 0.0) {
+                && result.lifecycle[0] > 0.0) {
                 EXPECT_GT(result.distribution.bytes4k, 0u);
                 degraded_gracefully = true;
                 break;

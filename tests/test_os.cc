@@ -48,7 +48,7 @@ TEST_F(OsFixture, DirectContiguousAllocation)
                                   false);
     ASSERT_TRUE(pfn.has_value());
     EXPECT_EQ(*pfn % 512, 0u);
-    EXPECT_EQ(root.scalar("mm.direct_allocs").value(), 1.0);
+    EXPECT_EQ(root.value("mm.direct_allocs"), 1.0);
 }
 
 TEST_F(OsFixture, CompactionRescuesFragmentedMemory)
@@ -70,7 +70,7 @@ TEST_F(OsFixture, CompactionRescuesFragmentedMemory)
     auto with = mm.allocContiguous(mem::Order2M,
                                    mem::FrameUse::AppHuge, true);
     ASSERT_TRUE(with.has_value());
-    EXPECT_GT(root.scalar("mm.pages_migrated").value(), 0.0);
+    EXPECT_GT(root.value("mm.pages_migrated"), 0.0);
     for (int i = 0; i < 512; i++)
         EXPECT_EQ(mem.frameUse(*with + i), mem::FrameUse::AppHuge);
 }
@@ -86,7 +86,7 @@ TEST_F(OsFixture, CompactionRespectsUnmovableFrames)
     auto pfn = mm.allocContiguous(mem::Order2M, mem::FrameUse::AppHuge,
                                   true);
     EXPECT_FALSE(pfn.has_value());
-    EXPECT_EQ(root.scalar("mm.compaction_successes").value(), 0.0);
+    EXPECT_EQ(root.value("mm.compaction_successes"), 0.0);
 }
 
 TEST_F(OsFixture, DeferredCompactionBacksOff)
@@ -99,8 +99,8 @@ TEST_F(OsFixture, DeferredCompactionBacksOff)
     for (int i = 0; i < 10; i++)
         mm.allocContiguous(mem::Order2M, mem::FrameUse::AppHuge, true);
     // Backoff means far fewer scans than requests.
-    EXPECT_LT(root.scalar("mm.compaction_attempts").value(), 6.0);
-    EXPECT_GT(root.scalar("mm.compaction_deferred").value(), 4.0);
+    EXPECT_LT(root.value("mm.compaction_attempts"), 6.0);
+    EXPECT_GT(root.value("mm.compaction_deferred"), 4.0);
 }
 
 TEST_F(OsFixture, SuccessiveCompactionsYieldAdjacentRegions)
@@ -129,11 +129,11 @@ TEST_F(OsFixture, MemhogRelocateKeepsRegistryConsistent)
 {
     Memhog hog(mm, 0.0);
     hog.fragment(0.5, 3);
-    auto moved_before = root.scalar("mm.pages_migrated").value();
+    auto moved_before = root.value("mm.pages_migrated");
     auto pfn = mm.allocContiguous(mem::Order2M, mem::FrameUse::AppHuge,
                                   true);
     ASSERT_TRUE(pfn.has_value());
-    EXPECT_GT(root.scalar("mm.pages_migrated").value(), moved_before);
+    EXPECT_GT(root.value("mm.pages_migrated"), moved_before);
     // Releasing after migration must not panic or double free.
     hog.release();
     mem.freeFrames(*pfn, mem::Order2M);
@@ -199,7 +199,7 @@ TEST_F(OsFixture, ProcessThpFallsBackWhenMemoryFragmented)
     auto dist = scanDistribution(proc.pageTable());
     EXPECT_EQ(dist.bytes2m, 0u);
     EXPECT_EQ(dist.bytes4k, 4 * MiB);
-    EXPECT_GT(root.scalar("proc.thp_fallbacks").value(), 0.0);
+    EXPECT_GT(root.value("proc.thp_fallbacks"), 0.0);
 }
 
 TEST_F(OsFixture, ProcessHuge2MPoolPolicy)
@@ -463,6 +463,36 @@ TEST_F(OsFixture, MaintainRepromotesInPlaceWhenPressureFades)
     contracts::AuditReport report;
     proc.audit(report);
     EXPECT_TRUE(report.violations().empty());
+}
+
+TEST_F(OsFixture, PromotionAfterStatResetLeavesANegativeNetCount)
+{
+    // Promotion takes back the 512 4KB faults its reservation counted.
+    // After a reset mid-reservation only one of them is left, so the
+    // net count reads -511: exact, signed, and printed as such.
+    ProcessParams params;
+    params.policy = PagePolicy::Reservation;
+    Process proc(mm, params, &root);
+    VAddr base = proc.mmap(4 * MiB);
+    for (std::uint64_t i = 0; i + 1 < Frames2M; i++)
+        ASSERT_EQ(proc.touch(base + i * PageBytes4K), TouchResult::Faulted);
+    ASSERT_EQ(root.value("proc.faults_2m"), 0.0);
+    root.resetStats();
+
+    ASSERT_EQ(proc.touch(base + (Frames2M - 1) * PageBytes4K),
+              TouchResult::Faulted);
+    auto x = proc.pageTable().translate(base);
+    ASSERT_TRUE(x.has_value());
+    EXPECT_EQ(x->size, PageSize::Size2M);
+    EXPECT_EQ(root.value("proc.faults_4k"), -511.0);
+    EXPECT_EQ(root.value("proc.faults_2m"), 1.0);
+    std::ostringstream out;
+    root.dump(out);
+    const std::string dump = out.str();
+    const auto at = dump.find("test.proc.faults_4k ");
+    ASSERT_NE(at, std::string::npos);
+    const std::string line = dump.substr(at, dump.find('\n', at) - at);
+    EXPECT_NE(line.find(" -511 "), std::string::npos) << line;
 }
 
 TEST_F(OsFixture, ReclaimAbandonsReservationSlackWithoutShootdowns)

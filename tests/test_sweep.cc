@@ -224,3 +224,108 @@ TEST(SweepRunner, TimingBlockPresentByDefaultAndSuppressible)
         EXPECT_EQ(record.find("timing"), nullptr);
     }
 }
+
+namespace
+{
+
+/**
+ * resultJson -> text -> parse -> resultFromJson -> resultJson must give
+ * back the first record's bytes: resume reads back every stored field
+ * into the member it came from.
+ */
+void
+expectRecordRoundTrips(const RunResult &result)
+{
+    const std::string once = resultJson(result).dump(2);
+    auto parsed = json::Value::parse(once);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(resultJson(resultFromJson(*parsed)).dump(2), once);
+    EXPECT_EQ(resultJson(resultFromJson(resultJson(result))).dump(2),
+              once);
+}
+
+} // anonymous namespace
+
+TEST(ResultRecord, RoundTripsEveryFieldByteForByte)
+{
+    // Every member distinct, so a key read back into the wrong member
+    // (or not at all) changes the second record.
+    RunResult r;
+    r.metrics.refs = 1000;
+    r.metrics.translationCycles = 1.5;
+    r.metrics.baseCycles = 2.5;
+    r.metrics.overheadCycles = 3.5;
+    r.metrics.totalCycles = 4.5;
+    r.energy.l1WaysRead = 5.5;
+    r.energy.l2WaysRead = 6.5;
+    r.energy.l1Entries = 7;
+    r.energy.l2Entries = 8;
+    r.energy.l1Fills = 9.5;
+    r.energy.l2Fills = 10.5;
+    r.energy.fillBurstFactor = 0.25;
+    r.energy.walkAccesses = 11.5;
+    r.energy.walkDramAccesses = 12.5;
+    r.energy.dirtyOps = 13.5;
+    r.energy.invalidations = 14.5;
+    r.energy.predictorLookups = 15.5;
+    r.energy.skewTimestamps = true;
+    r.energy.totalCycles = 16.5;
+    r.l1MissRate = 0.125;
+    r.walksPerKref = 17.5;
+    r.accessesPerWalk = 18.5;
+    for (std::size_t i = 0; i < r.lifecycle.size(); i++)
+        r.lifecycle[i] = 20.0 + static_cast<double>(i);
+    r.distribution.bytes4k = 3 * PageBytes4K;
+    r.distribution.bytes2m = 5 * PageBytes2M;
+    r.distribution.bytes1g = PageBytes1G;
+    r.procL1MissRates = {0.375, 0.625, 0.875};
+    r.contextSwitches = 30;
+    r.fullFlushes = 29;
+    expectRecordRoundTrips(r);
+
+    const RunResult back = resultFromJson(resultJson(r));
+    EXPECT_EQ(back.lifecycle, r.lifecycle);
+    EXPECT_EQ(back.procL1MissRates, r.procL1MissRates);
+    EXPECT_TRUE(back.energy.skewTimestamps);
+}
+
+TEST(ResultRecord, RoundTripsARealPointOfEveryKind)
+{
+    NativeRunConfig native;
+    native.workload = "gups";
+    native.memBytes = 256 * MiB;
+    native.footprintBytes = 16 * MiB;
+    native.refs = 2000;
+
+    VirtRunConfig virt;
+    virt.hostMemBytes = 512 * MiB;
+    virt.footprintBytes = 16 * MiB;
+    virt.refsPerVm = 2000;
+
+    GpuRunConfig gpu;
+    gpu.cores = 2;
+    gpu.memBytes = 256 * MiB;
+    gpu.footprintBytes = 16 * MiB;
+    gpu.refs = 2000;
+
+    MultiRunConfig multi;
+    multi.memBytes = 512 * MiB;
+    multi.footprintPerProc = 8 * MiB;
+    multi.refsPerProc = 2000;
+    multi.quantum = 256;
+    multi.mix = "gups,streamcluster";
+
+    SweepGrid grid;
+    grid.add("native", "native", native);
+    grid.add("virt", "virt", virt);
+    grid.add("gpu", "gpu", gpu);
+    grid.add("multi", "multi", multi);
+    for (const SweepJob &job : grid.jobs()) {
+        SCOPED_TRACE(job.label);
+        const RunResult result = runJob(job);
+        EXPECT_GT(result.metrics.refs, 0u);
+        EXPECT_EQ(resultJson(result).find("multi") != nullptr,
+                  job.section == "multi");
+        expectRecordRoundTrips(result);
+    }
+}

@@ -56,7 +56,7 @@ TEST_F(VirtFixture, EptBacksGuestPhysicalLazily)
     ASSERT_TRUE(spa.has_value());
     EXPECT_TRUE(vm.hostPhysIfMapped(0x1000).has_value());
     EXPECT_EQ(*vm.hostPhysIfMapped(0x1000), *spa);
-    EXPECT_GT(root.scalar("vm.ept_faults").value(), 0.0);
+    EXPECT_GT(root.value("vm.ept_faults"), 0.0);
 }
 
 TEST_F(VirtFixture, HostThpBacksGuestWithSuperpages)

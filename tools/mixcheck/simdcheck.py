@@ -1,10 +1,10 @@
 """simd checker.
 
 SIMD intrinsics are confined to src/common/simd.hh: that header owns
-the portable dispatch (AVX2/SSE2/NEON/scalar), the MIXTLB_FORCE_SCALAR
+the dispatch (AVX2 or the scalar reference), the MIXTLB_FORCE_SCALAR
 kill switch, and the exactness argument (DESIGN.md section 13). A raw
 `_mm256_cmpeq_epi64` sprinkled into a design file silently bypasses
-all three — it cannot be forced scalar, it breaks non-x86 builds, and
+all three — it cannot be forced scalar, it breaks non-AVX2 builds, and
 its first-index semantics are unreviewed. Flag intrinsic includes and
 raw intrinsic calls everywhere else; `// mixcheck: allow(simd)` with a
 written reason is the escape hatch.
