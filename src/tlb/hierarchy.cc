@@ -321,7 +321,7 @@ TlbHierarchy::translateBatch(std::span<const MemRef> refs,
 
     for (std::size_t i = 0; i < refs.size(); ++i) {
         if (filter_.valid) {
-            // Wide run-scan: count the leading refs the armed filter
+            // Run-scan: count the leading refs the armed filter
             // replays (in-page, and loads-only unless the cached entry
             // is dirty) in one go instead of re-testing the filter per
             // reference. The run is charged in bulk; per-ref work

@@ -168,8 +168,9 @@ FullyAssocTlb::lookup(VAddr vaddr, bool is_store)
     } else {
         // One candidate tag per supported page size: a covering entry
         // of size s is based at pageBase(vaddr, s), so its tag must
-        // equal that size's candidate.
-        std::uint64_t cands[NumPageSizes];
+        // equal that size's candidate. Zeroed because GCC cannot see
+        // that firstEqualAny reads only the first ncands.
+        std::uint64_t cands[NumPageSizes] = {};
         unsigned ncands = 0;
         for (unsigned s = 0; s < NumPageSizes; ++s) {
             if (sizeMask_[s]) {

@@ -9,9 +9,9 @@
  * over full entries. That scan loads each entry's whole struct (40-80
  * bytes) to evaluate a predicate that almost always fails on the
  * first compared field. TagLaneSet splits the match-relevant bits
- * into a contiguous `std::uint64_t` lane: the probe compares 2-4 ways
- * per instruction (simd::firstEqual, DESIGN.md section 13) and only
- * dereferences the payload to *confirm* a candidate.
+ * into a contiguous `std::uint64_t` lane: the probe scans packed tags
+ * (simd::firstEqual, DESIGN.md section 13) and only dereferences the
+ * payload to *confirm* a candidate.
  *
  * Exactness contract: the tag is a pure function of the fields the
  * design's match predicate reads, so a true match always has equal
@@ -69,7 +69,7 @@ class TagLaneSet
      * First index whose tag equals @p tag and whose payload passes
      * @p confirm; scans on past tag collisions that fail confirm.
      *
-     * The wide scan (simd::firstEqual) returns the *lowest* matching
+     * The lane scan (simd::firstEqual) returns the *lowest* matching
      * index and resumes from i + 1 after a failed confirm, so the
      * first confirmed index is identical to the scalar
      * tag-compare-then-confirm loop's.

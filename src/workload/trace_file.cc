@@ -1,6 +1,7 @@
 #include "trace_file.hh"
 
 #include <cstring>
+#include <limits>
 
 #include "common/contracts.hh"
 #include "common/fault.hh"
@@ -99,6 +100,10 @@ TraceFileGen::TraceFileGen(const std::string &path)
         problem = "unsupported version";
     else if (header.count == 0)
         problem = "empty trace (zero records)";
+    else if (header.count >
+             (std::numeric_limits<std::uint64_t>::max() - sizeof(Header))
+                 / sizeof(Record))
+        problem = "record count too large for any file size";
 
     if (!problem) {
         // The payload must hold exactly header.count records; a short

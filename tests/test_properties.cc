@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 
 #include "cache/cache.hh"
+#include "common/intmath.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "tlb/tag_lane.hh"
@@ -51,11 +54,16 @@ struct Arena
     pt::Walker walker{table, &root, 8};
     std::vector<VAddr> pages; ///< one representative VA per page
 
-    explicit Arena(std::uint64_t seed)
+    /**
+     * @param pa_offset shifts every frame (a multiple of 1GB, so the
+     *        1GB pages stay aligned): arenas built with different
+     *        offsets map the same virtual pages to different frames.
+     */
+    explicit Arena(std::uint64_t seed, PAddr pa_offset = 0)
     {
         Rng rng(seed);
         // 4KB pages, some contiguous.
-        PAddr pa = 0x10000000;
+        PAddr pa = 0x10000000 + pa_offset;
         for (int i = 0; i < 64; i++) {
             VAddr va = 0x00010000 + i * PageBytes4K;
             table.map(va, pa, PageSize::Size4K);
@@ -63,7 +71,7 @@ struct Arena
             pages.push_back(va);
         }
         // 2MB superpages: one long contiguous run plus scattered ones.
-        pa = 0x40000000;
+        pa = 0x40000000 + pa_offset;
         for (int i = 0; i < 24; i++) {
             VAddr va = 0x40000000 + static_cast<VAddr>(i) * PageBytes2M;
             table.map(va, pa, PageSize::Size2M);
@@ -71,8 +79,8 @@ struct Arena
             pages.push_back(va);
         }
         // 1GB pages.
-        table.map(8 * GiB, 1 * GiB, PageSize::Size1G);
-        table.map(9 * GiB, 2 * GiB, PageSize::Size1G);
+        table.map(8 * GiB, 1 * GiB + pa_offset, PageSize::Size1G);
+        table.map(9 * GiB, 2 * GiB + pa_offset, PageSize::Size1G);
         pages.push_back(8 * GiB);
         pages.push_back(9 * GiB);
     }
@@ -128,6 +136,85 @@ fuzzAgainstPageTable(BaseTlb &tlb, Arena &arena, std::uint64_t seed,
     }
 }
 
+/**
+ * ASID isolation under tag collisions: three address spaces map the
+ * same virtual pages to different frames, so every probe that matched
+ * a tag without confirming its ASID would return another space's
+ * frame. The op stream switches spaces, fills, marks dirty, shoots
+ * down pages of any space and drops whole spaces; every hit must agree
+ * with the page table of the space active at that moment, and a
+ * dropped space must miss on every page.
+ */
+void
+fuzzAcrossAsids(BaseTlb &tlb, Arena *const (&spaces)[3],
+                std::uint64_t seed, int iterations = 20000)
+{
+    Rng rng(seed);
+    Asid active = 0;
+    tlb.setAsid(active);
+    const auto pagesMiss = [&](Asid asid) {
+        tlb.setAsid(asid);
+        for (VAddr page : spaces[asid]->pages) {
+            ASSERT_FALSE(tlb.lookup(page, false).hit)
+                << std::hex << "asid=" << asid << " page=0x" << page;
+        }
+        tlb.setAsid(active);
+    };
+    for (int i = 0; i < iterations; i++) {
+        if (rng.chance(0.02)) {
+            active = static_cast<Asid>(rng.nextBounded(3));
+            tlb.setAsid(active);
+        }
+        Arena &space = *spaces[active];
+        VAddr va = space.randomAddr(rng);
+        bool store = rng.chance(0.3);
+        auto result = tlb.lookup(va, store);
+        auto truth = space.table.translate(va);
+        ASSERT_TRUE(truth.has_value());
+        if (result.hit) {
+            ASSERT_EQ(result.xlate.translate(va), truth->translate(va))
+                << std::hex << "asid=" << active << " va=0x" << va;
+        } else if (tlb.supports(truth->size)) {
+            auto walk = space.walker.walk(va, store);
+            ASSERT_FALSE(walk.pageFault());
+            FillInfo fill;
+            fill.leaf = *walk.leaf;
+            fill.vaddr = va;
+            fill.walk = &walk;
+            tlb.fill(fill);
+        }
+        if (rng.chance(0.05))
+            tlb.markDirty(va);
+        if (rng.chance(0.004)) {
+            const auto owner = static_cast<Asid>(rng.nextBounded(3));
+            VAddr page = space.pages[rng.nextBounded(space.pages.size())];
+            auto size = space.table.translate(page)->size;
+            tlb.invalidate(page, size, owner);
+            if (owner == active) {
+                ASSERT_FALSE(tlb.lookup(page, false).hit);
+            }
+        }
+        if (rng.chance(0.001)) {
+            const auto gone = static_cast<Asid>(rng.nextBounded(3));
+            tlb.invalidateAsid(gone);
+            pagesMiss(gone);
+        }
+    }
+}
+
+/** Three address spaces over the same virtual pages, 2GB apart. */
+struct AsidSpaces
+{
+    Arena a0;
+    Arena a1;
+    Arena a2;
+    Arena *const spaces[3] = {&a0, &a1, &a2};
+
+    explicit AsidSpaces(std::uint64_t seed)
+        : a0(seed), a1(seed, 2 * GiB), a2(seed, 4 * GiB)
+    {}
+};
+
 struct MixGeometry
 {
     std::uint64_t entries;
@@ -155,6 +242,20 @@ TEST_P(MixProperty, HitsAlwaysAgreeWithPageTable)
     params.alignmentRestricted = geometry.alignment;
     MixTlb tlb("mix", &arena.root, params);
     fuzzAgainstPageTable(tlb, arena, 7);
+}
+
+TEST_P(MixProperty, HitsAgreeWithActiveAsidPageTable)
+{
+    const auto &geometry = GetParam();
+    AsidSpaces asids(45);
+    MixTlbParams params;
+    params.entries = geometry.entries;
+    params.assoc = geometry.assoc;
+    params.mode = geometry.mode;
+    params.colt4k = geometry.colt4k;
+    params.alignmentRestricted = geometry.alignment;
+    MixTlb tlb("mix", &asids.a0.root, params);
+    fuzzAcrossAsids(tlb, asids.spaces, 31);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -256,6 +357,13 @@ TEST_P(FamilyProperty, HitsAlwaysAgreeWithPageTable)
     Arena arena(44);
     auto tlb = build(GetParam(), &arena.root);
     fuzzAgainstPageTable(*tlb, arena, 13);
+}
+
+TEST_P(FamilyProperty, HitsAgreeWithActiveAsidPageTable)
+{
+    AsidSpaces asids(46);
+    auto tlb = build(GetParam(), &asids.a0.root);
+    fuzzAcrossAsids(*tlb, asids.spaces, 37);
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, FamilyProperty,
@@ -533,21 +641,12 @@ INSTANTIATE_TEST_SUITE_P(Designs, L0FilterProperty,
                                            sim::TlbDesign::HashRehash,
                                            sim::TlbDesign::Skew));
 
-namespace
-{
-
 /**
- * Bit-exactness of the SIMD probe kernels (src/common/simd.hh,
- * DESIGN.md section 13). Three layers of differential coverage, all
- * against the pure-scalar reference kernels:
- *
- *   1. the raw kernels, on adversarial collision-heavy lanes of every
- *      ragged size 0..65 with random start offsets;
- *   2. TagLaneSet::findTag/findTagAny, where tag collisions force the
- *      continue-past-failed-confirm resumption mid-lane;
- *   3. whole op streams — every SoA design, the cache hierarchy, and
- *      full machine runs — asserting identical per-lookup results and
- *      byte-identical stat dumps with the kill switch on vs off.
+ * The probe kernels (src/common/simd.hh, DESIGN.md section 13) against
+ * naive loops written here: the raw kernels on adversarial
+ * collision-heavy lanes of every ragged size 0..65 with random start
+ * offsets, and TagLaneSet::findTag/findTagAny, where tag collisions
+ * force the continue-past-failed-confirm resumption mid-lane.
  */
 TEST(SimdKernels, FirstEqualMatchesScalarOnAdversarialLanes)
 {
@@ -565,12 +664,13 @@ TEST(SimdKernels, FirstEqualMatchesScalarOnAdversarialLanes)
         const std::uint64_t needle =
             rng.chance(0.8) ? pool[rng.nextBounded(4)] : rng.next();
         const std::size_t start = rng.nextBounded(n + 2);
-        const std::size_t want =
-            simd::firstEqualScalar(lane.data(), n, needle, start);
+        std::size_t want = simd::npos;
+        for (std::size_t i = start; i < n && want == simd::npos; ++i) {
+            if (lane[i] == needle)
+                want = i;
+        }
         ASSERT_EQ(simd::firstEqual(lane.data(), n, needle, start), want)
             << "n=" << n << " start=" << start;
-        simd::ForceScalarGuard guard;
-        ASSERT_EQ(simd::firstEqual(lane.data(), n, needle, start), want);
     }
 }
 
@@ -585,24 +685,25 @@ TEST(SimdKernels, FirstEqualAnyMatchesScalarOnAdversarialLanes)
         std::vector<std::uint64_t> lane(n);
         for (auto &t : lane)
             t = pool[rng.nextBounded(4)];
-        // 0..6 candidates: 0 (empty), 1..4 (hoisted vector paths), 5+
-        // (the vector kernel's own scalar fallback).
+        // 0..6 candidates: every case of the kernel's switch, the
+        // 1-candidate firstEqual path and the generic 4+ loop.
         const unsigned ncands = static_cast<unsigned>(rng.nextBounded(7));
         std::uint64_t cands[6];
         for (unsigned c = 0; c < ncands; ++c)
             cands[c] = rng.chance(0.6) ? pool[rng.nextBounded(4)]
                                        : rng.next();
         const std::size_t start = rng.nextBounded(n + 2);
-        const std::size_t want = simd::firstEqualAnyScalar(
-            lane.data(), n, cands, ncands, start);
+        std::size_t want = simd::npos;
+        for (std::size_t i = start; i < n && want == simd::npos; ++i) {
+            for (unsigned c = 0; c < ncands; ++c) {
+                if (lane[i] == cands[c])
+                    want = i;
+            }
+        }
         ASSERT_EQ(
             simd::firstEqualAny(lane.data(), n, cands, ncands, start),
             want)
             << "n=" << n << " ncands=" << ncands << " start=" << start;
-        simd::ForceScalarGuard guard;
-        ASSERT_EQ(
-            simd::firstEqualAny(lane.data(), n, cands, ncands, start),
-            want);
     }
 }
 
@@ -626,14 +727,14 @@ TEST(SimdKernels, L0RunLengthMatchesScalar)
                                        : AccessType::Read;
         }
         for (bool stores_ok : {false, true}) {
-            const std::size_t want = simd::l0RunLengthScalar(
-                refs.data(), n, lo, stores_ok, 0);
+            std::size_t want = 0;
+            while (want < n && refs[want].vaddr >= lo &&
+                   refs[want].vaddr < lo + PageBytes4K &&
+                   (stores_ok || refs[want].type == AccessType::Read))
+                ++want;
             ASSERT_EQ(simd::l0RunLength(refs.data(), n, lo, stores_ok),
                       want)
                 << "n=" << n << " stores_ok=" << stores_ok;
-            simd::ForceScalarGuard guard;
-            ASSERT_EQ(simd::l0RunLength(refs.data(), n, lo, stores_ok),
-                      want);
         }
     }
 }
@@ -676,219 +777,169 @@ TEST(SimdKernels, TagLaneResumesPastFailedConfirms)
             }
         }
         ASSERT_EQ(set.findTagAny(cands, 2, confirm), want_any);
-        simd::ForceScalarGuard guard;
-        ASSERT_EQ(set.findTag(needle, confirm), want);
-        ASSERT_EQ(set.findTagAny(cands, 2, confirm), want_any);
     }
 }
 
-/** One recorded lookup of the SIMD-vs-scalar design op streams. */
-struct LookupRec
+namespace
 {
-    bool hit;
-    std::uint64_t probes;
-    std::uint64_t waysRead;
-    bool dirty;
-    VAddr vbase;
-    PAddr pbase;
-    unsigned size;
+
+/**
+ * One cache level as the textbook model: per set, a list of line tags
+ * in recency order (front = MRU), installing at the front on a miss
+ * and dropping the back when the set overflows.
+ */
+struct NaiveLruLevel
+{
+    unsigned lineShift;
+    unsigned assoc;
+    std::vector<std::vector<std::uint64_t>> sets;
+
+    explicit NaiveLruLevel(const cache::CacheParams &params)
+        : lineShift(floorLog2(params.lineBytes)), assoc(params.assoc),
+          sets(params.sizeBytes / params.lineBytes / params.assoc)
+    {}
 
     bool
-    operator==(const LookupRec &other) const = default;
+    access(PAddr paddr)
+    {
+        const std::uint64_t tag = paddr >> lineShift;
+        auto &set = sets[tag % sets.size()];
+        const auto it = std::find(set.begin(), set.end(), tag);
+        const bool hit = it != set.end();
+        if (hit)
+            set.erase(it);
+        set.insert(set.begin(), tag);
+        if (set.size() > assoc)
+            set.pop_back();
+        return hit;
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : sets)
+            set.clear();
+    }
 };
 
-/**
- * Drive one design through the compareScanModes op mix (ASID mixes,
- * stores, invalidations, fills) with the SIMD kill switch held in one
- * position, recording every lookup and the final stat dump.
- */
-template <typename Build>
-std::pair<std::vector<LookupRec>, std::string>
-runSimdOpStream(Build &&build, bool force_scalar, std::uint64_t seed)
-{
-    simd::ForceScalarGuard guard(force_scalar);
-    Arena arena(seed);
-    auto tlb = build(&arena.root);
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-    const Asid asids[] = {0, 1, 2};
-    std::vector<LookupRec> recs;
-    recs.reserve(20000);
-    const auto record = [&](const TlbLookup &result) {
-        LookupRec rec{};
-        rec.hit = result.hit;
-        rec.probes = result.probes;
-        rec.waysRead = result.waysRead;
-        rec.dirty = result.entryDirty;
-        if (result.hit) {
-            rec.vbase = result.xlate.vbase;
-            rec.pbase = result.xlate.pbase;
-            rec.size = static_cast<unsigned>(result.xlate.size);
-        }
-        recs.push_back(rec);
-    };
-    for (int i = 0; i < 20000; i++) {
-        if (rng.chance(0.001))
-            tlb->setAsid(asids[rng.nextBounded(3)]);
-        VAddr va = arena.randomAddr(rng);
-        bool store = rng.chance(0.3);
-        auto result = tlb->lookup(va, store);
-        record(result);
-        auto truth = arena.table.translate(va);
-        if (!truth.has_value())
-            ADD_FAILURE() << "unmapped arena address";
-        if (!result.hit && truth && tlb->supports(truth->size)) {
-            auto walk = arena.walker.walk(va, store);
-            if (walk.pageFault()) {
-                ADD_FAILURE() << "arena walk faulted";
-            } else {
-                FillInfo fill;
-                fill.leaf = *walk.leaf;
-                fill.vaddr = va;
-                fill.walk = &walk;
-                tlb->fill(fill);
-            }
-        }
-        if (rng.chance(0.05))
-            tlb->markDirty(va);
-        if (rng.chance(0.004)) {
-            VAddr page = arena.pages[rng.nextBounded(arena.pages.size())];
-            auto size = arena.table.translate(page)->size;
-            tlb->invalidate(page, size);
-        }
-        if (rng.chance(0.001))
-            tlb->invalidateAsid(asids[rng.nextBounded(3)]);
-    }
-    tlb->setAsid(0);
-    for (VAddr page : arena.pages) {
-        auto size = arena.table.translate(page)->size;
-        for (VAddr off : {VAddr(0), VAddr(0x40),
-                          VAddr(pageBytes(size) - 1)})
-            record(tlb->lookup(page + off, false));
-    }
-    return {std::move(recs), statDump(arena.root)};
-}
-
-template <typename Build>
-void
-compareSimdScan(Build &&build, std::uint64_t seed)
-{
-    auto wide = runSimdOpStream(build, false, seed);
-    auto scalar = runSimdOpStream(build, true, seed);
-    ASSERT_EQ(wide.first.size(), scalar.first.size());
-    for (std::size_t i = 0; i < wide.first.size(); ++i) {
-        ASSERT_TRUE(wide.first[i] == scalar.first[i])
-            << "lookup #" << i << " diverges between SIMD and "
-            << "forced-scalar kernels";
-    }
-    EXPECT_EQ(wide.second, scalar.second);
-}
-
 } // anonymous namespace
 
-TEST_P(FamilyProperty, SimdProbesMatchForcedScalar)
+/**
+ * The cache tag windows (probed with simd::firstEqual, shifted in
+ * place for the MRU move) against NaiveLruLevel, level by level, on a
+ * stream that mixes a small hot pool with lines that all fall in one
+ * set of every level — enough of them to overflow the 16-way LLC set,
+ * whose set count (24576) takes the non-power-of-two index path.
+ */
+TEST(SimdKernels, CacheWindowsMatchNaiveLru)
 {
-    const Family family = GetParam();
-    compareSimdScan(
-        [&](stats::StatGroup *root) {
-            return FamilyProperty::build(family, root);
-        },
-        23);
-}
-
-TEST_P(MixProperty, SimdProbesMatchForcedScalar)
-{
-    const auto &geometry = GetParam();
-    compareSimdScan(
-        [&](stats::StatGroup *root) {
-            MixTlbParams params;
-            params.entries = geometry.entries;
-            params.assoc = geometry.assoc;
-            params.mode = geometry.mode;
-            params.colt4k = geometry.colt4k;
-            params.alignmentRestricted = geometry.alignment;
-            return std::make_unique<MixTlb>("mix", root, params);
-        },
-        29);
-}
-
-namespace
-{
-
-/** Cache probes: same paddr stream, SIMD vs forced scalar. */
-std::pair<std::vector<std::uint64_t>, std::string>
-runCacheStream(bool force_scalar, std::uint64_t seed)
-{
-    simd::ForceScalarGuard guard(force_scalar);
+    const cache::HierarchyParams params;
     stats::StatGroup root("cacheprop");
-    cache::CacheHierarchy caches(cache::HierarchyParams{}, &root);
-    Rng rng(seed);
-    std::vector<std::uint64_t> cycles;
-    cycles.reserve(50000);
-    for (int i = 0; i < 50000; ++i) {
-        // A small line pool keeps all three levels' sets mixing hits,
-        // misses, and MRU churn.
-        const PAddr paddr = (rng.nextBounded(1 << 14) << 6) +
-                            rng.nextBounded(CacheLineBytes);
-        cycles.push_back(caches.access(paddr, rng.chance(0.3)));
-        if (rng.chance(0.0005))
+    cache::CacheHierarchy caches(params, &root);
+    NaiveLruLevel l1(params.l1), l2(params.l2), llc(params.llc);
+    // Lines this far apart share a set at every level.
+    const std::uint64_t conflict_stride =
+        std::lcm(std::lcm(l1.sets.size(), l2.sets.size()),
+                 llc.sets.size()) *
+        CacheLineBytes;
+    Rng rng(0x51D4);
+    for (int i = 0; i < 100000; ++i) {
+        const PAddr paddr =
+            rng.chance(0.6)
+                ? (rng.nextBounded(1 << 12) << 6) +
+                      rng.nextBounded(CacheLineBytes)
+                : rng.nextBounded(40) * conflict_stride;
+        cache::HitLevel want = cache::HitLevel::Memory;
+        if (l1.access(paddr))
+            want = cache::HitLevel::L1;
+        else if (l2.access(paddr))
+            want = cache::HitLevel::L2;
+        else if (llc.access(paddr))
+            want = cache::HitLevel::LLC;
+        ASSERT_EQ(caches.accessLevel(paddr, rng.chance(0.3)), want)
+            << std::hex << "i=" << i << " paddr=0x" << paddr;
+        if (rng.chance(0.0005)) {
             caches.flush();
+            l1.flush();
+            l2.flush();
+            llc.flush();
+        }
     }
-    return {std::move(cycles), statDump(root)};
-}
-
-} // anonymous namespace
-
-TEST(SimdKernels, CacheProbesMatchForcedScalar)
-{
-    auto wide = runCacheStream(false, 0x51D4);
-    auto scalar = runCacheStream(true, 0x51D4);
-    ASSERT_EQ(wide.first, scalar.first);
-    EXPECT_EQ(wide.second, scalar.second);
 }
 
 namespace
 {
 
 /**
- * End-to-end: full machine runs (L0 run-scan, tag lanes, and cache tag
- * windows all live) must dump identical stats with the kernels forced
- * scalar.
+ * TlbHierarchy::translateBatch promises to be bit-identical to one
+ * access() per reference: its L0 run-scan (simd::l0RunLength) charges
+ * runs of filter replays in bulk, and a batch boundary may cut a run
+ * anywhere. Two identically seeded, warmed machines replay the same
+ * gups + streamcluster references, one in batches of random ragged
+ * sizes and one reference at a time; translation cycles and the full
+ * stat dump must match.
  */
-class SimdMachineProperty
-    : public ::testing::TestWithParam<sim::TlbDesign>
+class BatchProperty : public ::testing::TestWithParam<sim::TlbDesign>
 {
   public:
-    static std::string
-    runOnce(sim::TlbDesign design, bool force_scalar)
+    static std::unique_ptr<sim::Machine>
+    warmMachine(sim::TlbDesign design, VAddr *base)
     {
-        simd::ForceScalarGuard guard(force_scalar);
         sim::MachineParams params;
         params.name = "m";
         params.memBytes = 512 * MiB;
         params.design = design;
         params.seed = 5;
-        sim::Machine machine(params);
-        VAddr base = machine.mapArena(32 * MiB);
-        machine.warmup(base, 32 * MiB);
-        machine.startMeasurement();
-        for (const char *workload : {"gups", "streamcluster"}) {
-            auto gen = workload::makeGenerator(workload, base,
-                                               32 * MiB, 7);
-            machine.run(*gen, 100000);
-        }
-        return statDump(machine.root());
+        auto machine = std::make_unique<sim::Machine>(params);
+        *base = machine->mapArena(32 * MiB);
+        machine->warmup(*base, 32 * MiB);
+        machine->startMeasurement();
+        return machine;
     }
 };
 
 } // anonymous namespace
 
-TEST_P(SimdMachineProperty, SimdOnOffStatsIdentical)
+TEST_P(BatchProperty, TranslateBatchMatchesPerReferenceAccess)
 {
     const sim::TlbDesign design = GetParam();
-    EXPECT_EQ(runOnce(design, false), runOnce(design, true));
+    VAddr base = 0;
+    auto batched = warmMachine(design, &base);
+    VAddr single_base = 0;
+    auto single = warmMachine(design, &single_base);
+    ASSERT_EQ(base, single_base);
+
+    std::vector<MemRef> refs;
+    for (const char *workload : {"gups", "streamcluster"}) {
+        auto gen = workload::makeGenerator(workload, base, 32 * MiB, 7);
+        for (int i = 0; i < 100000; ++i)
+            refs.push_back(gen->next());
+    }
+
+    Rng rng(0xBA7C);
+    Cycles batched_cycles = 0;
+    for (std::size_t i = 0; i < refs.size();) {
+        const std::size_t n = std::min<std::size_t>(
+            1 + rng.nextBounded(600), refs.size() - i);
+        const auto br =
+            batched->tlbs().translateBatch({refs.data() + i, n}, false);
+        ASSERT_TRUE(br.ok);
+        ASSERT_EQ(br.done, n);
+        batched_cycles += br.cycles;
+        i += n;
+    }
+    Cycles single_cycles = 0;
+    for (const MemRef &ref : refs) {
+        const auto result = single->tlbs().access(
+            ref.vaddr, ref.type == AccessType::Write);
+        ASSERT_TRUE(result.ok);
+        single_cycles += result.cycles;
+    }
+    EXPECT_EQ(batched_cycles, single_cycles);
+    EXPECT_EQ(statDump(batched->root()), statDump(single->root()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Designs, SimdMachineProperty,
+INSTANTIATE_TEST_SUITE_P(Designs, BatchProperty,
                          ::testing::Values(sim::TlbDesign::Split,
                                            sim::TlbDesign::Mix,
                                            sim::TlbDesign::MixColt,

@@ -266,6 +266,19 @@ TEST(TraceValidation, EmptyTraceIsRejected)
     std::remove(path.c_str());
 }
 
+TEST(TraceValidation, WrappingRecordCountIsRejected)
+{
+    // 16 + 9 * count wraps to 17 bytes: a header and one payload byte.
+    auto path = recordedTrace("mixtlb_test_trace_wrap.bin");
+    std::filesystem::resize_file(path, HeaderBytes + 1);
+    const std::uint64_t count = 0x8e38e38e38e38e39ULL;
+    ASSERT_EQ(static_cast<std::uint64_t>(HeaderBytes) + count * RecordBytes,
+              static_cast<std::uint64_t>(HeaderBytes + 1));
+    patchFile(path, 8, &count, sizeof(count));
+    expectCorrupt(path, "record count too large");
+    std::remove(path.c_str());
+}
+
 TEST(TraceValidation, InvalidRecordTypeIsRejectedAtRead)
 {
     auto path = recordedTrace("mixtlb_test_trace_type.bin");

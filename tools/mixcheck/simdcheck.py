@@ -1,13 +1,15 @@
 """simd checker.
 
-SIMD intrinsics are confined to src/common/simd.hh: that header owns
-the dispatch (AVX2 or the scalar reference), the MIXTLB_FORCE_SCALAR
-kill switch, and the exactness argument (DESIGN.md section 13). A raw
-`_mm256_cmpeq_epi64` sprinkled into a design file silently bypasses
-all three — it cannot be forced scalar, it breaks non-AVX2 builds, and
-its first-index semantics are unreviewed. Flag intrinsic includes and
-raw intrinsic calls everywhere else; `// mixcheck: allow(simd)` with a
-written reason is the escape hatch.
+SIMD intrinsics are confined to src/common/simd.hh. Its probe kernels
+are plain scalar loops today (no dispatch, no kill switch), and the
+header is still the only place a future wide kernel may go: there it
+sits behind the same signatures, next to the first-index exactness
+argument it must meet (DESIGN.md section 13). A raw
+`_mm256_cmpeq_epi64` sprinkled into a design file bypasses both
+the shared kernel and that review, and breaks builds for targets
+without the extension. Flag intrinsic includes and raw intrinsic
+calls everywhere else; `// mixcheck: allow(simd)` with a written
+reason is the escape hatch.
 """
 
 import re
