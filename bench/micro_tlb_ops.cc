@@ -26,10 +26,10 @@ namespace
 constexpr std::uint64_t GiB = 1024ULL * 1024 * 1024;
 
 /**
- * Probe-kernel microbenchmarks: firstEqual/firstEqualAny over lane
- * sizes spanning the TLB/cache geometries (8-way cache set, 16-way
- * LLC, 64-entry fully-assoc sweep), with the needle at the lane's end
- * — a full-length scan, the probe's worst case.
+ * Probe-kernel microbenchmarks: firstEqual over lane sizes spanning
+ * the TLB/cache geometries (8-way cache set, 16-way LLC, 64-entry
+ * fully-assoc sweep), with the needle at the lane's end — a
+ * full-length scan, the probe's worst case.
  */
 void
 BM_SimdFirstEqual(benchmark::State &state)
@@ -44,22 +44,6 @@ BM_SimdFirstEqual(benchmark::State &state)
             simd::firstEqual(lane.data(), n, needle));
 }
 BENCHMARK(BM_SimdFirstEqual)->Arg(8)->Arg(16)->Arg(64);
-
-void
-BM_SimdFirstEqualAny(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint64_t> lane(n);
-    for (std::size_t i = 0; i < n; ++i)
-        lane[i] = 0x9e3779b97f4a7c15ULL * (i + 1);
-    // NumPageSizes candidates, the MIX/fully-assoc probe shape; only
-    // the last candidate hits, at the end of the lane.
-    const std::uint64_t cands[3] = {1, 2, n > 0 ? lane[n - 1] : 3};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            simd::firstEqualAny(lane.data(), n, cands, 3));
-}
-BENCHMARK(BM_SimdFirstEqualAny)->Arg(8)->Arg(16)->Arg(64);
 
 void
 BM_SimdL0RunLength(benchmark::State &state)

@@ -2,20 +2,17 @@
  * @file
  * Probe kernels for the hot scan loops.
  *
- * Every TLB/cache probe is a linear scan over a packed
- * `std::uint64_t` tag lane. The kernels here are those scans: plain
- * first-match loops with the candidate tags hoisted into locals.
+ * The cache probe is a linear scan over a packed `std::uint64_t` tag
+ * window, and the L0 filter scans a trace batch for the end of a
+ * same-page run. The kernels here are those scans: plain first-match
+ * loops.
  *
- * Every design probes a short set (4-way split L1s, the 6-way MIX L1,
- * 8-way L2s, cache windows of at most 16 ways) and the scan usually
- * ends at the MRU slot, so a wide compare has little to widen. An
- * AVX2 leg was measured against these loops on every perfbench
- * workload and resolved no difference, so it was retired (DESIGN.md
- * section 13).
+ * Every probe covers a short set (cache windows of at most 16 ways)
+ * and the scan usually ends at the MRU slot, so a wide compare has
+ * little to widen. An AVX2 leg was measured against these loops on
+ * every perfbench workload and resolved no difference, so it was
+ * retired (DESIGN.md section 13).
  *
- *   - `firstEqual`/`firstEqualAny` take a start offset so callers that
- *     re-confirm tag hits against a full predicate (TagLaneSet) can
- *     resume the scan mid-lane past a confirm-rejected collision.
  *   - `prefetchRead`/`prefetchWrite` hint the next set or trace
  *     chunk; the L2/LLC set prefetch is the measured win of the probe
  *     work (DESIGN.md section 13).
@@ -37,7 +34,7 @@
 namespace mixtlb::simd
 {
 
-/** Same sentinel as TagLaneSet::npos. */
+/** "Not found" sentinel of the scans. */
 inline constexpr std::size_t npos =
     std::numeric_limits<std::size_t>::max();
 
@@ -69,66 +66,16 @@ prefetchWrite(void *p)
 #endif
 }
 
-/**
- * Lowest index in [start, n) with lane[i] == tag, else npos.
- */
+/** Lowest index in [0, n) with lane[i] == tag, else npos. */
 // mixcheck: hot
 inline std::size_t
-firstEqual(const std::uint64_t *lane, std::size_t n, std::uint64_t tag,
-           std::size_t start = 0)
+firstEqual(const std::uint64_t *lane, std::size_t n, std::uint64_t tag)
 {
-    for (std::size_t i = start; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         if (lane[i] == tag)
             return i;
     }
     return npos;
-}
-
-/**
- * Lowest index in [start, n) with lane[i] equal to *any* of the
- * @p ncands candidate tags, else npos. The candidate values are
- * hoisted into locals and the comparison short-circuits.
- */
-// mixcheck: hot
-inline std::size_t
-firstEqualAny(const std::uint64_t *lane, std::size_t n,
-              const std::uint64_t *cands, unsigned ncands,
-              std::size_t start = 0)
-{
-    switch (ncands) {
-      case 0:
-        return npos;
-      case 1:
-        return firstEqual(lane, n, cands[0], start);
-      case 2: {
-        const std::uint64_t c0 = cands[0], c1 = cands[1];
-        for (std::size_t i = start; i < n; ++i) {
-            const std::uint64_t t = lane[i];
-            if (t == c0 || t == c1)
-                return i;
-        }
-        return npos;
-      }
-      case 3: {
-        const std::uint64_t c0 = cands[0], c1 = cands[1];
-        const std::uint64_t c2 = cands[2];
-        for (std::size_t i = start; i < n; ++i) {
-            const std::uint64_t t = lane[i];
-            if (t == c0 || t == c1 || t == c2)
-                return i;
-        }
-        return npos;
-      }
-      default:
-        for (std::size_t i = start; i < n; ++i) {
-            const std::uint64_t t = lane[i];
-            for (unsigned c = 0; c < ncands; ++c) {
-                if (t == cands[c])
-                    return i;
-            }
-        }
-        return npos;
-    }
 }
 
 /**

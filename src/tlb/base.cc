@@ -1,26 +1,7 @@
 #include "base.hh"
 
-#include <atomic>
-
 namespace mixtlb::tlb
 {
-
-namespace
-{
-std::atomic<bool> g_reference_scan{false};
-} // namespace
-
-void
-setReferenceScanEnabled(bool enabled)
-{
-    g_reference_scan.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-referenceScanEnabled()
-{
-    return g_reference_scan.load(std::memory_order_relaxed);
-}
 
 BaseTlb::BaseTlb(const std::string &name, stats::StatGroup *parent)
     : stats_(name, parent),

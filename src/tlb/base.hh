@@ -81,17 +81,6 @@ struct FillInfo
     std::optional<BundleInfo> bundle;
 };
 
-/**
- * Process-wide switch selecting the reference full-predicate entry
- * scan instead of the SoA tag-lane scan in the designs that support
- * both. Latched by each TLB at construction (a ctor flag, not a
- * per-lookup branch); the two scans are bit-exact by construction, so
- * this exists for the differential property tests and debugging only.
- * Flip it before building the machine under test.
- */
-void setReferenceScanEnabled(bool enabled);
-bool referenceScanEnabled();
-
 /** Abstract TLB. */
 class BaseTlb
 {

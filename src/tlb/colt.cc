@@ -12,7 +12,7 @@ ColtTlb::ColtTlb(const std::string &name, stats::StatGroup *parent,
                  std::uint64_t entries, unsigned assoc, PageSize size,
                  unsigned group)
     : BaseTlb(name, parent), entries_(entries), assoc_(assoc),
-      size_(size), group_(group), referenceScan_(referenceScanEnabled())
+      size_(size), group_(group)
 {
     fatal_if(assoc == 0 || entries == 0 || entries % assoc != 0,
              "COLT TLB geometry does not divide evenly");
@@ -36,16 +36,13 @@ ColtTlb::lookup(VAddr vaddr, bool is_store)
     auto slot = static_cast<unsigned>((pageBase(vaddr, size_) - wbase)
                                       / page);
     auto &set = sets_[setOf(vaddr)];
-    const auto confirm = [&](const Entry &e) {
+    auto it = std::find_if(set.begin(), set.end(), [&](const Entry &e) {
         return e.wbase == wbase && e.asid == asid_ &&
                ((e.bitmap >> (slot & 31)) & 1);
-    };
-    std::size_t i = referenceScan_
-                        ? set.findIf(confirm)
-                        : set.findTag(tagOf(wbase, asid_), confirm);
-    if (i != TagLaneSet<Entry>::npos) {
-        set.rotateToFront(i); // move to MRU
-        const Entry &entry = set.payload(0);
+    });
+    if (it != set.end()) {
+        std::rotate(set.begin(), it, it + 1); // move to MRU
+        const Entry &entry = set.front();
         result.hit = true;
         result.xlate.size = size_;
         result.xlate.vbase = pageBase(vaddr, size_);
@@ -127,24 +124,20 @@ ColtTlb::fill(const FillInfo &fill)
     entry.dirty = all_dirty;
 
     auto &set = sets_[setOf(leaf.vbase)];
-    const auto confirm = [&](const Entry &e) {
+    auto it = std::find_if(set.begin(), set.end(), [&](const Entry &e) {
         return e.wbase == entry.wbase && e.wpbase == entry.wpbase &&
                e.asid == entry.asid && e.perms == entry.perms;
-    };
-    const std::uint64_t tag = tagOf(entry.wbase, entry.asid);
-    std::size_t i = referenceScan_ ? set.findIf(confirm)
-                                   : set.findTag(tag, confirm);
-    if (i != TagLaneSet<Entry>::npos) {
-        Entry &e = set.payload(i);
-        e.bitmap |= entry.bitmap;
-        e.dirty = e.dirty && entry.dirty;
-        set.rotateToFront(i); // move to MRU
+    });
+    if (it != set.end()) {
+        it->bitmap |= entry.bitmap;
+        it->dirty = it->dirty && entry.dirty;
+        std::rotate(set.begin(), it, it + 1); // move to MRU
         ++coalesces_;
         return;
     }
-    set.insertFront(tag, entry);
+    set.insert(set.begin(), entry);
     if (set.size() > assoc_)
-        set.popBack();
+        set.pop_back();
     ++fills_;
 }
 
@@ -157,12 +150,11 @@ ColtTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
         VAddr wbase = windowBase(vbase);
         auto slot = static_cast<unsigned>((vbase - wbase) / page);
         auto &set = sets_[setOf(vbase)];
-        set.eraseIf([&](Entry &e) {
-            if (e.wbase != wbase || e.asid != asid)
-                return false;
-            e.bitmap &= ~(1u << (slot & 31));
-            return e.bitmap == 0;
-        });
+        for (auto &e : set) {
+            if (e.wbase == wbase && e.asid == asid)
+                e.bitmap &= ~(1u << (slot & 31));
+        }
+        std::erase_if(set, [](const Entry &e) { return e.bitmap == 0; });
         return;
     }
     // Cross-size shootdown (superpage demotion/re-promotion): drop
@@ -172,20 +164,19 @@ ColtTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     // dropped whole, and every set must be scanned.
     const VAddr lo = vbase;
     const VAddr hi = vbase + pageBytes(size);
+    const std::uint64_t span = static_cast<std::uint64_t>(group_) * page;
     for (auto &set : sets_) {
-        set.eraseIf([&](Entry &e) {
-            const std::uint64_t span =
-                static_cast<std::uint64_t>(group_) * page;
+        for (auto &e : set) {
             if (e.asid != asid || e.wbase >= hi || e.wbase + span <= lo)
-                return false;
+                continue;
             for (unsigned slot = 0; slot < group_; slot++) {
                 VAddr sbase =
                     e.wbase + static_cast<std::uint64_t>(slot) * page;
                 if (sbase < hi && sbase + page > lo)
                     e.bitmap &= ~(1u << (slot & 31));
             }
-            return e.bitmap == 0;
-        });
+        }
+        std::erase_if(set, [](const Entry &e) { return e.bitmap == 0; });
     }
 }
 
@@ -202,16 +193,14 @@ ColtTlb::invalidateAsid(Asid asid)
 {
     ++invalidations_;
     for (auto &set : sets_)
-        set.eraseIf([&](const Entry &e) { return e.asid == asid; });
+        std::erase_if(set, [&](const Entry &e) { return e.asid == asid; });
 }
 
 void
 ColtTlb::markDirty(VAddr vaddr)
 {
     VAddr wbase = windowBase(pageBase(vaddr, size_));
-    auto &set = sets_[setOf(vaddr)];
-    for (std::size_t i = 0; i < set.size(); ++i) {
-        Entry &entry = set.payload(i);
+    for (auto &entry : sets_[setOf(vaddr)]) {
         if (entry.wbase != wbase || entry.asid != asid_)
             continue;
         if (std::popcount(entry.bitmap) == 1)

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "tlb/base.hh"
-#include "tlb/tag_lane.hh"
 
 namespace mixtlb::tlb
 {
@@ -73,24 +72,10 @@ class ColtTlb : public BaseTlb
     PageSize size_;
     unsigned group_;
     std::uint64_t numSets_;
-    /** Ctor-latched referenceScanEnabled(): full-predicate scans. */
-    bool referenceScan_;
-    /** Per-set SoA ways in LRU order (front = MRU); each lane is
-     *  reserved to assoc_ + 1 at construction so the hot path never
+    /** Per-set ways in LRU order (front = MRU); each set is reserved
+     *  to assoc_ + 1 at construction so the hot path never
      *  reallocates. */
-    std::vector<TagLaneSet<Entry>> sets_;
-
-    /**
-     * Tag lane packing: wbase is window-aligned (>= 4KB), so the low
-     * 12 bits are free for the ASID. Entries sharing (wbase, asid)
-     * but differing in anchor/perms/bitmap share a tag; the confirm
-     * predicates disambiguate.
-     */
-    static std::uint64_t
-    tagOf(VAddr wbase, Asid asid)
-    {
-        return ((wbase >> PageShift4K) << 16) | asid;
-    }
+    std::vector<std::vector<Entry>> sets_;
 
     std::uint64_t
     setOf(VAddr vaddr) const

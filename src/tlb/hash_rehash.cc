@@ -10,8 +10,7 @@ namespace mixtlb::tlb
 HashRehashTlb::HashRehashTlb(const std::string &name,
                              stats::StatGroup *parent,
                              const HashRehashParams &params)
-    : BaseTlb(name, parent), params_(params),
-      referenceScan_(referenceScanEnabled())
+    : BaseTlb(name, parent), params_(params)
 {
     fatal_if(params.assoc == 0 || params.entries == 0 ||
              params.entries % params.assoc != 0,
@@ -35,28 +34,18 @@ HashRehashTlb::supports(PageSize size) const
            != params_.sizes.end();
 }
 
-std::size_t
-HashRehashTlb::find(TagLaneSet<Entry> &set, std::uint64_t vpn,
-                    PageSize size) const
-{
-    const auto confirm = [&](const Entry &e) {
-        return e.size == size && e.vpn == vpn && e.asid == asid_;
-    };
-    if (referenceScan_)
-        return set.findIf(confirm);
-    return set.findTag(tagOf(vpn, size, asid_), confirm);
-}
-
 HashRehashTlb::Entry *
 HashRehashTlb::probe(VAddr vaddr, PageSize size)
 {
     auto &set = sets_[setOf(vaddr, size)];
     std::uint64_t vpn = vpnOf(vaddr, size);
-    std::size_t i = find(set, vpn, size);
-    if (i == TagLaneSet<Entry>::npos)
+    auto it = std::find_if(set.begin(), set.end(), [&](const Entry &e) {
+        return e.size == size && e.vpn == vpn && e.asid == asid_;
+    });
+    if (it == set.end())
         return nullptr;
-    set.rotateToFront(i); // move to MRU
-    return &set.payload(0);
+    std::rotate(set.begin(), it, it + 1); // move to MRU
+    return &set.front();
 }
 
 // mixcheck: hot
@@ -110,18 +99,18 @@ HashRehashTlb::fill(const FillInfo &fill)
              pageSizeName(fill.leaf.size));
     std::uint64_t vpn = fill.leaf.vpn();
     auto &set = sets_[setOf(fill.leaf.vbase, fill.leaf.size)];
-    std::size_t i = find(set, vpn, fill.leaf.size);
-    if (i != TagLaneSet<Entry>::npos) {
-        Entry &e = set.payload(i);
-        e.xlate = fill.leaf;
-        e.dirty = fill.leaf.dirty;
-        set.rotateToFront(i); // move to MRU
+    auto it = std::find_if(set.begin(), set.end(), [&](const Entry &e) {
+        return e.size == fill.leaf.size && e.vpn == vpn && e.asid == asid_;
+    });
+    if (it != set.end()) {
+        it->xlate = fill.leaf;
+        it->dirty = fill.leaf.dirty;
+        std::rotate(set.begin(), it, it + 1); // move to MRU
     } else {
-        set.insertFront(tagOf(vpn, fill.leaf.size, asid_),
-                        Entry{fill.leaf.size, vpn, asid_, fill.leaf,
-                              fill.leaf.dirty});
+        set.insert(set.begin(), Entry{fill.leaf.size, vpn, asid_,
+                                      fill.leaf, fill.leaf.dirty});
         if (set.size() > params_.assoc)
-            set.popBack();
+            set.pop_back();
         ++fills_;
     }
     if (predictor_) {
@@ -139,8 +128,7 @@ HashRehashTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     if (supports(size)) {
         // An entry of the shot-down size hashes to one known set.
         std::uint64_t vpn = vpnOf(vbase, size);
-        auto &set = sets_[setOf(vbase, size)];
-        set.eraseIf([&](const Entry &e) {
+        std::erase_if(sets_[setOf(vbase, size)], [&](const Entry &e) {
             return e.size == size && e.vpn == vpn && e.asid == asid;
         });
     }
@@ -151,7 +139,7 @@ HashRehashTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     const VAddr lo = vbase;
     const VAddr hi = vbase + pageBytes(size);
     for (auto &set : sets_) {
-        set.eraseIf([&](const Entry &e) {
+        std::erase_if(set, [&](const Entry &e) {
             if (e.size == size || e.asid != asid)
                 return false;
             const VAddr ebase = e.xlate.vbase;
@@ -173,17 +161,15 @@ HashRehashTlb::invalidateAsid(Asid asid)
 {
     ++invalidations_;
     for (auto &set : sets_)
-        set.eraseIf([&](const Entry &e) { return e.asid == asid; });
+        std::erase_if(set, [&](const Entry &e) { return e.asid == asid; });
 }
 
 void
 HashRehashTlb::markDirty(VAddr vaddr)
 {
     for (PageSize size : params_.sizes) {
-        auto &set = sets_[setOf(vaddr, size)];
         std::uint64_t vpn = vpnOf(vaddr, size);
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            Entry &entry = set.payload(i);
+        for (auto &entry : sets_[setOf(vaddr, size)]) {
             if (entry.size == size && entry.vpn == vpn &&
                 entry.asid == asid_)
                 entry.dirty = true;

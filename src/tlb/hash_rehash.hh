@@ -17,7 +17,6 @@
 
 #include "tlb/base.hh"
 #include "tlb/predictor.hh"
-#include "tlb/tag_lane.hh"
 
 namespace mixtlb::tlb
 {
@@ -81,12 +80,10 @@ class HashRehashTlb : public BaseTlb
 
     HashRehashParams params_;
     std::uint64_t numSets_;
-    /** Ctor-latched referenceScanEnabled(): full-predicate scans. */
-    bool referenceScan_;
-    /** Per-set SoA ways in LRU order (front = MRU); each lane is
-     *  reserved to assoc + 1 at construction so the hot path never
+    /** Per-set ways in LRU order (front = MRU); each set is reserved
+     *  to assoc + 1 at construction so the hot path never
      *  reallocates. */
-    std::vector<TagLaneSet<Entry>> sets_;
+    std::vector<std::vector<Entry>> sets_;
     std::unique_ptr<SizePredictor> predictor_;
     /** Reusable probe-order scratch (no per-lookup heap allocation). */
     std::vector<PageSize> probeOrder_;
@@ -96,19 +93,6 @@ class HashRehashTlb : public BaseTlb
     {
         return vpnOf(vaddr, size) % numSets_;
     }
-
-    /** Tag lane packing: collisions confirmed against the payload. */
-    static std::uint64_t
-    tagOf(std::uint64_t vpn, PageSize size, Asid asid)
-    {
-        return (vpn << 20) |
-               (std::uint64_t(static_cast<unsigned>(size)) << 16) |
-               asid;
-    }
-
-    /** First way matching (size, vpn, asid) in @p set, or npos. */
-    std::size_t find(TagLaneSet<Entry> &set, std::uint64_t vpn,
-                     PageSize size) const;
 
     /** Probe one set for one assumed size; returns the entry or null. */
     Entry *probe(VAddr vaddr, PageSize size);

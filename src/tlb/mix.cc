@@ -15,7 +15,6 @@ namespace mixtlb::tlb
 MixTlb::MixTlb(const std::string &name, stats::StatGroup *parent,
                const MixTlbParams &params)
     : BaseTlb(name, parent), params_(params),
-      referenceScan_(referenceScanEnabled() || !params.alignmentRestricted),
       mirrorWrites_(stats_.addCounter("mirror_writes",
           "superpage mirror copies written on fills")),
       duplicatesRemoved_(stats_.addCounter("duplicates_removed",
@@ -149,33 +148,17 @@ MixTlb::lookup(VAddr vaddr, bool is_store)
     TlbLookup result;
     result.waysRead = params_.assoc;
     auto &set = sets_[indexOf(vaddr)];
-
-    const auto covers = [&](const Entry &e) {
+    auto it = std::find_if(set.begin(), set.end(), [&](const Entry &e) {
         return entryCovers(e, vaddr);
-    };
-    std::size_t hit;
-    if (referenceScan_) {
-        hit = set.findIf(covers);
-    } else {
-        // Windows are aligned, so a covering entry of size s anchors
-        // at that size's window around vaddr: one candidate per size.
-        std::uint64_t cands[NumPageSizes];
-        for (unsigned s = 0; s < NumPageSizes; ++s) {
-            const auto size = static_cast<PageSize>(s);
-            cands[s] = tagOf(windowBase(vaddr, size), size, asid_);
-        }
-        hit = set.findTagAny(cands, NumPageSizes, covers);
-    }
-    if (hit != TagLaneSet<Entry>::npos) {
+    });
+    if (it != set.end()) {
         // Sec. 4.3: the probe tag-compares the whole set, so duplicate
         // mirrors of the matched bundle are visible; collapse them.
-        // merge() never touches (wbase, size, asid), so the survivor's
-        // lane tag stays valid.
+        auto hit = static_cast<std::size_t>(it - set.begin());
         for (std::size_t i = 0; i < set.size();) {
-            if (i != hit && compatible(set.payload(hit),
-                                       set.payload(i))) {
-                merge(set.payload(hit), set.payload(i));
-                set.eraseAt(i);
+            if (i != hit && compatible(set[hit], set[i])) {
+                merge(set[hit], set[i]);
+                set.erase(set.begin() + i);
                 if (i < hit)
                     hit--;
                 ++duplicatesRemoved_;
@@ -184,8 +167,9 @@ MixTlb::lookup(VAddr vaddr, bool is_store)
                 i++;
             }
         }
-        set.rotateToFront(hit); // move to MRU
-        const Entry &entry = set.payload(0);
+        std::rotate(set.begin(), set.begin() + hit,
+                    set.begin() + hit + 1); // move to MRU
+        const Entry &entry = set.front();
         result.hit = true;
         result.xlate.size = entry.size;
         result.xlate.vbase = pageBase(vaddr, entry.size);
@@ -304,27 +288,21 @@ void
 MixTlb::insertIntoSet(unsigned set_idx, const Entry &entry)
 {
     auto &set = sets_[set_idx];
-    // compatible() requires equal (wbase, size, asid), so a true match
-    // shares the incoming entry's tag.
-    const std::uint64_t tag = tagOf(entry.wbase, entry.size, entry.asid);
-    const auto matches = [&](const Entry &e) {
+    auto it = std::find_if(set.begin(), set.end(), [&](const Entry &e) {
         return compatible(e, entry);
-    };
-    std::size_t i = referenceScan_ ? set.findIf(matches)
-                                   : set.findTag(tag, matches);
-    if (i != TagLaneSet<Entry>::npos) {
-        Entry &existing = set.payload(i);
-        unsigned before = population(existing);
-        merge(existing, entry);
-        set.rotateToFront(i); // move to MRU
-        if (population(set.payload(0)) > before)
+    });
+    if (it != set.end()) {
+        unsigned before = population(*it);
+        merge(*it, entry);
+        std::rotate(set.begin(), it, it + 1); // move to MRU
+        if (population(set.front()) > before)
             ++extensions_;
         ++coalesces_;
         return;
     }
-    set.insertFront(tag, entry);
+    set.insert(set.begin(), entry);
     if (set.size() > params_.assoc)
-        set.popBack();
+        set.pop_back();
     ++fills_;
     if (entry.size != PageSize::Size4K)
         ++mirrorWrites_;
@@ -337,9 +315,9 @@ MixTlb::blindInsert(unsigned set_idx, const Entry &entry)
     // existing copy (scanning every set on fill would cost too much
     // energy); duplicates this creates collapse on a later probe.
     auto &set = sets_[set_idx];
-    set.insertFront(tagOf(entry.wbase, entry.size, entry.asid), entry);
+    set.insert(set.begin(), entry);
     if (set.size() > params_.assoc)
-        set.popBack();
+        set.pop_back();
     ++fills_;
     if (entry.size != PageSize::Size4K)
         ++mirrorWrites_;
@@ -442,13 +420,13 @@ MixTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     // in *every* set and evolve independently under per-set LRU, so
     // all sets are swept (shootdowns are off the hot lookup path).
     for (auto &set : sets_) {
-        set.eraseIf([&](Entry &entry) {
+        for (Entry &entry : set) {
             const std::uint64_t epage = pageBytes(entry.size);
             const unsigned slots = groupSlots(entry.size);
             const std::uint64_t span = epage * slots;
             if (entry.asid != asid || entry.wbase >= hi ||
                 entry.wbase + span <= lo) {
-                return false;
+                continue;
             }
             // Slots of the entry's window overlapped by [lo, hi).
             const auto s0 = lo > entry.wbase
@@ -463,14 +441,20 @@ MixTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
                 // outside the window stay cached (partial trim).
                 for (unsigned s = s0; s <= s1; s++)
                     entry.bitmap &= ~(1ULL << (s & 63));
-                return entry.bitmap == 0;
+                continue;
             }
             // Length mode: drop the whole bundle if any covered slot
             // is present (the paper's simple approach).
             bool present = false;
             for (unsigned s = s0; s <= s1 && !present; s++)
                 present = entry.slotPresent(s, params_.mode);
-            return present;
+            if (present)
+                entry.length = 0;
+        }
+        // Live entries always hold a page (auditSets checks it), so
+        // only the entries emptied above go.
+        std::erase_if(set, [&](const Entry &entry) {
+            return population(entry) == 0;
         });
     }
 }
@@ -488,7 +472,7 @@ MixTlb::invalidateAsid(Asid asid)
 {
     ++invalidations_;
     for (auto &set : sets_)
-        set.eraseIf([&](const Entry &e) { return e.asid == asid; });
+        std::erase_if(set, [&](const Entry &e) { return e.asid == asid; });
 }
 
 void
@@ -498,9 +482,8 @@ MixTlb::markDirty(VAddr vaddr)
     // member is dirty; hardware only knows that for singletons.
     bool superpage_covered = false;
     bool small_covered = false;
-    auto mark = [&](TagLaneSet<Entry> &set) {
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            Entry &entry = set.payload(i);
+    auto mark = [&](std::vector<Entry> &set) {
+        for (auto &entry : set) {
             if (!entryCovers(entry, vaddr))
                 continue;
             (entry.size == PageSize::Size4K ? small_covered
@@ -549,7 +532,7 @@ MixTlb::auditSets(contracts::AuditReport &report) const
         MIX_AUDIT_CHECK(report, set.size() <= params_.assoc,
                         "set %u holds %zu entries but has %u ways", s,
                         set.size(), params_.assoc);
-        for (const Entry &entry : set.payloads()) {
+        for (const Entry &entry : set) {
             const unsigned group = groupSlots(entry.size);
             const std::uint64_t page = pageBytes(entry.size);
             const std::uint64_t span = group * page;

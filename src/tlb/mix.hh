@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "tlb/base.hh"
-#include "tlb/tag_lane.hh"
 
 namespace mixtlb::tlb
 {
@@ -159,15 +158,8 @@ class MixTlb : public BaseTlb
     /** log2(colt4k); colt4k is enforced to be a power of two. */
     unsigned colt4kShift_;
 
-    /**
-     * Ctor-latched referenceScanEnabled(), forced on when the
-     * alignment-restriction ablation is active: a floating window
-     * anchor makes candidate window bases uncomputable at probe time,
-     * so that configuration always scans with the full predicate.
-     */
-    bool referenceScan_;
-    /** Flat per-set SoA arrays, front = MRU. */
-    std::vector<TagLaneSet<Entry>> sets_;
+    /** Per-set ways, front = MRU. */
+    std::vector<std::vector<Entry>> sets_;
 
     /** Did the most recent lookup() collapse any duplicate mirrors? */
     bool lastLookupMerged_ = false;
@@ -175,24 +167,6 @@ class MixTlb : public BaseTlb
     stats::Counter &mirrorWrites_;
     stats::Counter &duplicatesRemoved_;
     stats::Counter &extensions_;
-
-    /**
-     * Tag lane packing: the window base is at least 4KB aligned (even
-     * the floating-anchor ablation anchors on a page base), leaving
-     * the low bits free for the size index and ASID. A covering entry
-     * of size s must have wbase == windowBase(vaddr, s) when windows
-     * are aligned, so a probe needs one candidate tag per page size.
-     * Entries sharing (wbase, size, asid) but differing in anchor,
-     * perms, or membership share a tag; confirm predicates
-     * (entryCovers / compatible) disambiguate.
-     */
-    static std::uint64_t
-    tagOf(VAddr wbase, PageSize size, Asid asid)
-    {
-        return ((wbase >> PageShift4K) << 18) |
-               (std::uint64_t(static_cast<unsigned>(size)) << 16) |
-               asid;
-    }
 
     /** The set probed for @p vaddr (small-page or ablation indexing). */
     unsigned indexOf(VAddr vaddr) const;

@@ -10,8 +10,7 @@ namespace mixtlb::tlb
 SetAssocTlb::SetAssocTlb(const std::string &name, stats::StatGroup *parent,
                          std::uint64_t entries, unsigned assoc,
                          PageSize size)
-    : BaseTlb(name, parent), entries_(entries), assoc_(assoc), size_(size),
-      referenceScan_(referenceScanEnabled())
+    : BaseTlb(name, parent), entries_(entries), assoc_(assoc), size_(size)
 {
     fatal_if(assoc == 0 || entries == 0 || entries % assoc != 0,
              "TLB geometry does not divide evenly");
@@ -20,17 +19,6 @@ SetAssocTlb::SetAssocTlb(const std::string &name, stats::StatGroup *parent,
     sets_.resize(numSets_);
     for (auto &set : sets_)
         set.reserve(assoc_ + 1);
-}
-
-std::size_t
-SetAssocTlb::find(TagLaneSet<Entry> &set, std::uint64_t vpn) const
-{
-    const auto confirm = [&](const Entry &e) {
-        return e.vpn == vpn && e.asid == asid_;
-    };
-    if (referenceScan_)
-        return set.findIf(confirm);
-    return set.findTag(tagOf(vpn, asid_), confirm);
 }
 
 // mixcheck: hot
@@ -42,13 +30,14 @@ SetAssocTlb::lookup(VAddr vaddr, bool is_store)
     result.waysRead = assoc_;
     std::uint64_t vpn = vpnOf(vaddr, size_);
     auto &set = sets_[setOf(vpn)];
-    std::size_t i = find(set, vpn);
-    if (i != TagLaneSet<Entry>::npos) {
-        const Entry &e = set.payload(i);
+    auto it = std::find_if(set.begin(), set.end(), [&](const Entry &e) {
+        return e.vpn == vpn && e.asid == asid_;
+    });
+    if (it != set.end()) {
         result.hit = true;
-        result.xlate = e.xlate;
-        result.entryDirty = e.dirty;
-        set.rotateToFront(i); // move to MRU
+        result.xlate = it->xlate;
+        result.entryDirty = it->dirty;
+        std::rotate(set.begin(), it, it + 1); // move to MRU
     }
     recordLookup(result);
     return result;
@@ -63,18 +52,18 @@ SetAssocTlb::fill(const FillInfo &fill)
              pageSizeName(fill.leaf.size), pageSizeName(size_));
     std::uint64_t vpn = fill.leaf.vpn();
     auto &set = sets_[setOf(vpn)];
-    std::size_t i = find(set, vpn);
-    if (i != TagLaneSet<Entry>::npos) {
-        Entry &e = set.payload(i);
-        e.xlate = fill.leaf;
-        e.dirty = fill.leaf.dirty;
-        set.rotateToFront(i);
+    auto it = std::find_if(set.begin(), set.end(), [&](const Entry &e) {
+        return e.vpn == vpn && e.asid == asid_;
+    });
+    if (it != set.end()) {
+        it->xlate = fill.leaf;
+        it->dirty = fill.leaf.dirty;
+        std::rotate(set.begin(), it, it + 1);
         return;
     }
-    set.insertFront(tagOf(vpn, asid_),
-                    Entry{vpn, asid_, fill.leaf, fill.leaf.dirty});
+    set.insert(set.begin(), Entry{vpn, asid_, fill.leaf, fill.leaf.dirty});
     if (set.size() > assoc_)
-        set.popBack();
+        set.pop_back();
     ++fills_;
 }
 
@@ -84,8 +73,7 @@ SetAssocTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     ++invalidations_;
     if (size == size_) {
         std::uint64_t vpn = vpnOf(vbase, size_);
-        auto &set = sets_[setOf(vpn)];
-        set.eraseIf([&](const Entry &e) {
+        std::erase_if(sets_[setOf(vpn)], [&](const Entry &e) {
             return e.vpn == vpn && e.asid == asid;
         });
         return;
@@ -98,7 +86,7 @@ SetAssocTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     const VAddr lo = vbase;
     const VAddr hi = vbase + pageBytes(size);
     for (auto &set : sets_) {
-        set.eraseIf([&](const Entry &e) {
+        std::erase_if(set, [&](const Entry &e) {
             const VAddr ebase = e.vpn * page;
             return e.asid == asid && ebase < hi && ebase + page > lo;
         });
@@ -118,16 +106,14 @@ SetAssocTlb::invalidateAsid(Asid asid)
 {
     ++invalidations_;
     for (auto &set : sets_)
-        set.eraseIf([&](const Entry &e) { return e.asid == asid; });
+        std::erase_if(set, [&](const Entry &e) { return e.asid == asid; });
 }
 
 void
 SetAssocTlb::markDirty(VAddr vaddr)
 {
     std::uint64_t vpn = vpnOf(vaddr, size_);
-    auto &set = sets_[setOf(vpn)];
-    for (std::size_t i = 0; i < set.size(); ++i) {
-        Entry &entry = set.payload(i);
+    for (auto &entry : sets_[setOf(vpn)]) {
         if (entry.vpn == vpn && entry.asid == asid_)
             entry.dirty = true;
     }
@@ -137,8 +123,7 @@ FullyAssocTlb::FullyAssocTlb(const std::string &name,
                              stats::StatGroup *parent,
                              std::uint64_t entries,
                              std::initializer_list<PageSize> sizes)
-    : BaseTlb(name, parent), entries_(entries),
-      referenceScan_(referenceScanEnabled())
+    : BaseTlb(name, parent), entries_(entries)
 {
     fatal_if(entries == 0, "empty fully-associative TLB");
     lru_.reserve(entries_ + 1);
@@ -159,34 +144,14 @@ FullyAssocTlb::lookup(VAddr vaddr, bool is_store)
     (void)is_store;
     TlbLookup result;
     result.waysRead = static_cast<unsigned>(entries_);
-    const auto confirm = [&](const Entry &e) {
+    auto it = std::find_if(lru_.begin(), lru_.end(), [&](const Entry &e) {
         return e.xlate.covers(vaddr) && e.asid == asid_;
-    };
-    std::size_t i;
-    if (referenceScan_) {
-        i = lru_.findIf(confirm);
-    } else {
-        // One candidate tag per supported page size: a covering entry
-        // of size s is based at pageBase(vaddr, s), so its tag must
-        // equal that size's candidate. Zeroed because GCC cannot see
-        // that firstEqualAny reads only the first ncands.
-        std::uint64_t cands[NumPageSizes] = {};
-        unsigned ncands = 0;
-        for (unsigned s = 0; s < NumPageSizes; ++s) {
-            if (sizeMask_[s]) {
-                const auto size = static_cast<PageSize>(s);
-                cands[ncands++] =
-                    tagOf(pageBase(vaddr, size), size, asid_);
-            }
-        }
-        i = lru_.findTagAny(cands, ncands, confirm);
-    }
-    if (i != TagLaneSet<Entry>::npos) {
-        const Entry &e = lru_.payload(i);
+    });
+    if (it != lru_.end()) {
         result.hit = true;
-        result.xlate = e.xlate;
-        result.entryDirty = e.dirty;
-        lru_.rotateToFront(i); // move to MRU
+        result.xlate = it->xlate;
+        result.entryDirty = it->dirty;
+        std::rotate(lru_.begin(), it, it + 1); // move to MRU
     }
     recordLookup(result);
     return result;
@@ -199,24 +164,19 @@ FullyAssocTlb::fill(const FillInfo &fill)
     panic_if(!supports(fill.leaf.size),
              "filling unsupported page size %s",
              pageSizeName(fill.leaf.size));
-    const auto confirm = [&](const Entry &e) {
+    auto it = std::find_if(lru_.begin(), lru_.end(), [&](const Entry &e) {
         return e.xlate.vbase == fill.leaf.vbase &&
                e.xlate.size == fill.leaf.size && e.asid == asid_;
-    };
-    const std::uint64_t tag =
-        tagOf(fill.leaf.vbase, fill.leaf.size, asid_);
-    std::size_t i = referenceScan_ ? lru_.findIf(confirm)
-                                   : lru_.findTag(tag, confirm);
-    if (i != TagLaneSet<Entry>::npos) {
-        Entry &e = lru_.payload(i);
-        e.xlate = fill.leaf;
-        e.dirty = fill.leaf.dirty;
-        lru_.rotateToFront(i);
+    });
+    if (it != lru_.end()) {
+        it->xlate = fill.leaf;
+        it->dirty = fill.leaf.dirty;
+        std::rotate(lru_.begin(), it, it + 1);
         return;
     }
-    lru_.insertFront(tag, Entry{asid_, fill.leaf, fill.leaf.dirty});
+    lru_.insert(lru_.begin(), Entry{asid_, fill.leaf, fill.leaf.dirty});
     if (lru_.size() > entries_)
-        lru_.popBack();
+        lru_.pop_back();
     ++fills_;
 }
 
@@ -229,7 +189,7 @@ FullyAssocTlb::invalidate(VAddr vbase, PageSize size, Asid asid)
     // entry must die on a 4K shootdown inside it, and vice versa).
     const VAddr lo = vbase;
     const VAddr hi = vbase + pageBytes(size);
-    lru_.eraseIf([&](const Entry &e) {
+    std::erase_if(lru_, [&](const Entry &e) {
         const VAddr ebase = e.xlate.vbase;
         return e.asid == asid && ebase < hi &&
                ebase + pageBytes(e.xlate.size) > lo;
@@ -247,14 +207,13 @@ void
 FullyAssocTlb::invalidateAsid(Asid asid)
 {
     ++invalidations_;
-    lru_.eraseIf([&](const Entry &e) { return e.asid == asid; });
+    std::erase_if(lru_, [&](const Entry &e) { return e.asid == asid; });
 }
 
 void
 FullyAssocTlb::markDirty(VAddr vaddr)
 {
-    for (std::size_t i = 0; i < lru_.size(); ++i) {
-        Entry &entry = lru_.payload(i);
+    for (auto &entry : lru_) {
         if (entry.xlate.covers(vaddr) && entry.asid == asid_)
             entry.dirty = true;
     }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "tlb/base.hh"
-#include "tlb/tag_lane.hh"
 
 namespace mixtlb::tlb
 {
@@ -74,26 +73,14 @@ class SetAssocTlb : public BaseTlb
     std::uint64_t numSets_;
     /** Mask for power-of-two set counts; 0 selects the modulo path. */
     std::uint64_t setMask_;
-    /** Ctor-latched referenceScanEnabled(): full-predicate scans. */
-    bool referenceScan_;
-    /** Per-set SoA ways, front = MRU (small, so shifts are cheap). */
-    std::vector<TagLaneSet<Entry>> sets_;
+    /** Per-set ways, front = MRU (small, so shifts are cheap). */
+    std::vector<std::vector<Entry>> sets_;
 
     std::uint64_t
     setOf(std::uint64_t vpn) const
     {
         return setMask_ ? (vpn & setMask_) : vpn % numSets_;
     }
-
-    /** Tag lane packing: collisions confirmed against the payload. */
-    static std::uint64_t
-    tagOf(std::uint64_t vpn, Asid asid)
-    {
-        return (vpn << 16) | asid;
-    }
-
-    /** First way matching (vpn, asid), or npos. */
-    std::size_t find(TagLaneSet<Entry> &set, std::uint64_t vpn) const;
 };
 
 /**
@@ -147,18 +134,7 @@ class FullyAssocTlb : public BaseTlb
 
     std::uint64_t entries_;
     bool sizeMask_[NumPageSizes] = {};
-    /** Ctor-latched referenceScanEnabled(): full-predicate scans. */
-    bool referenceScan_;
-    TagLaneSet<Entry> lru_; ///< front = MRU
-
-    /** Tag lane packing: collisions confirmed against the payload. */
-    static std::uint64_t
-    tagOf(VAddr vbase, PageSize size, Asid asid)
-    {
-        return ((vbase >> PageShift4K) << 20) |
-               (std::uint64_t(static_cast<unsigned>(size)) << 16) |
-               asid;
-    }
+    std::vector<Entry> lru_; ///< front = MRU
 };
 
 } // namespace mixtlb::tlb

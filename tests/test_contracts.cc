@@ -30,19 +30,19 @@ struct MixTlbTestAccess
     static void
     shiftAnchor(MixTlb &tlb, unsigned set, std::uint64_t delta)
     {
-        tlb.sets_.at(set).payload(0).wpbase += delta;
+        tlb.sets_.at(set).front().wpbase += delta;
     }
 
     static void
     setBitmap(MixTlb &tlb, unsigned set, std::uint64_t bitmap)
     {
-        tlb.sets_.at(set).payload(0).bitmap = bitmap;
+        tlb.sets_.at(set).front().bitmap = bitmap;
     }
 
     static void
     setDirtyFlag(MixTlb &tlb, unsigned set, bool dirty)
     {
-        tlb.sets_.at(set).payload(0).dirty = dirty;
+        tlb.sets_.at(set).front().dirty = dirty;
     }
 };
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -19,7 +20,6 @@
 #include "common/intmath.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
-#include "tlb/tag_lane.hh"
 #include "mem/phys_mem.hh"
 #include "os/memhog.hh"
 #include "os/memory_manager.hh"
@@ -228,6 +228,38 @@ class MixProperty : public ::testing::TestWithParam<MixGeometry>
 {
 };
 
+/** e.g. `e96w6_bitmap_colt1_aligned`. */
+std::string
+mixGeometryName(const ::testing::TestParamInfo<MixGeometry> &info)
+{
+    const MixGeometry &g = info.param;
+    return "e" + std::to_string(g.entries) + "w" +
+           std::to_string(g.assoc) + "_" +
+           (g.mode == CoalesceMode::Bitmap ? "bitmap" : "length") +
+           "_colt" + std::to_string(g.colt4k) + "_" +
+           (g.alignment ? "aligned" : "floating");
+}
+
+/** The parameter's decimal value, the name gtest would print for it. */
+template <typename T>
+std::string
+numberName(const ::testing::TestParamInfo<T> &info)
+{
+    return std::to_string(info.param);
+}
+
+/** designName() with every character gtest rejects mapped to '_'. */
+std::string
+designTestName(const ::testing::TestParamInfo<sim::TlbDesign> &info)
+{
+    std::string name = sim::designName(info.param);
+    for (char &c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    }
+    return name;
+}
+
 } // anonymous namespace
 
 TEST_P(MixProperty, HitsAlwaysAgreeWithPageTable)
@@ -270,7 +302,8 @@ INSTANTIATE_TEST_SUITE_P(
         MixGeometry{544, 8, CoalesceMode::Length, 1, false},
         MixGeometry{96, 6, CoalesceMode::Bitmap, 1, false},
         MixGeometry{128, 2, CoalesceMode::Bitmap, 1, true},
-        MixGeometry{64, 64, CoalesceMode::Length, 1, true}));
+        MixGeometry{64, 64, CoalesceMode::Length, 1, true}),
+    mixGeometryName);
 
 namespace
 {
@@ -293,7 +326,8 @@ TEST_P(MixSuperIndexProperty, AblationModeStaysCorrect)
 }
 
 INSTANTIATE_TEST_SUITE_P(Assocs, MixSuperIndexProperty,
-                         ::testing::Values(2u, 4u, 6u));
+                         ::testing::Values(2u, 4u, 6u),
+                         numberName<unsigned>);
 
 namespace
 {
@@ -308,6 +342,20 @@ enum class Family
     SkewPred,
     Colt4K,
 };
+
+std::string
+familyName(const ::testing::TestParamInfo<Family> &info)
+{
+    switch (info.param) {
+      case Family::Split: return "split";
+      case Family::HashRehash: return "hash_rehash";
+      case Family::HashRehashPred: return "hash_rehash_pred";
+      case Family::Skew: return "skew";
+      case Family::SkewPred: return "skew_pred";
+      case Family::Colt4K: return "colt4k";
+    }
+    return "unknown";
+}
 
 class FamilyProperty : public ::testing::TestWithParam<Family>
 {
@@ -372,7 +420,8 @@ INSTANTIATE_TEST_SUITE_P(Designs, FamilyProperty,
                                            Family::HashRehashPred,
                                            Family::Skew,
                                            Family::SkewPred,
-                                           Family::Colt4K));
+                                           Family::Colt4K),
+                         familyName);
 
 namespace
 {
@@ -424,52 +473,10 @@ TEST_P(MigrationProperty, TranslationsSurviveCompactionChurn)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MigrationProperty,
-                         ::testing::Values(1, 2, 3));
+                         ::testing::Values(1, 2, 3), numberName<int>);
 
 namespace
 {
-
-/**
- * Bit-exactness of the SoA tag-lane fast path: every design driven
- * through an identical interleaved op stream with the packed tag scan
- * on and off must produce identical lookup results, identical
- * statistics, and identical post-state. Two arenas are built from the
- * same seed (so they are equal) and each TLB gets its own — the
- * walkers' stats then also evolve in lockstep, letting the final check
- * compare the full stat dumps byte for byte.
- */
-struct ReferenceScanGuard
-{
-    bool prev = referenceScanEnabled();
-    ~ReferenceScanGuard() { setReferenceScanEnabled(prev); }
-};
-
-void
-expectLookupEq(const TlbLookup &a, const TlbLookup &b, VAddr va)
-{
-    ASSERT_EQ(a.hit, b.hit) << std::hex << "va=0x" << va;
-    EXPECT_EQ(a.probes, b.probes) << std::hex << "va=0x" << va;
-    EXPECT_EQ(a.waysRead, b.waysRead) << std::hex << "va=0x" << va;
-    EXPECT_EQ(a.entryDirty, b.entryDirty) << std::hex << "va=0x" << va;
-    if (a.hit) {
-        EXPECT_EQ(a.xlate.vbase, b.xlate.vbase);
-        EXPECT_EQ(a.xlate.pbase, b.xlate.pbase);
-        EXPECT_EQ(a.xlate.size, b.xlate.size);
-        EXPECT_TRUE(a.xlate.perms == b.xlate.perms);
-        EXPECT_EQ(a.xlate.accessed, b.xlate.accessed);
-        EXPECT_EQ(a.xlate.dirty, b.xlate.dirty);
-    }
-    ASSERT_EQ(a.bundle.has_value(), b.bundle.has_value())
-        << std::hex << "va=0x" << va;
-    if (a.bundle) {
-        EXPECT_EQ(a.bundle->vbase, b.bundle->vbase);
-        EXPECT_EQ(a.bundle->pbase, b.bundle->pbase);
-        EXPECT_EQ(a.bundle->size, b.bundle->size);
-        EXPECT_EQ(a.bundle->count, b.bundle->count);
-        EXPECT_TRUE(a.bundle->perms == b.bundle->perms);
-        EXPECT_EQ(a.bundle->dirty, b.bundle->dirty);
-    }
-}
 
 std::string
 statDump(stats::StatGroup &group)
@@ -478,117 +485,6 @@ statDump(stats::StatGroup &group)
     group.dump(os);
     return os.str();
 }
-
-template <typename Build>
-void
-compareScanModes(Build &&build, std::uint64_t seed)
-{
-    ReferenceScanGuard guard;
-    setReferenceScanEnabled(true);
-    Arena ref_arena(seed);
-    auto ref = build(&ref_arena.root);
-    setReferenceScanEnabled(false);
-    Arena soa_arena(seed);
-    auto soa = build(&soa_arena.root);
-
-    const auto fillBoth = [&](VAddr va, bool store) {
-        auto ref_walk = ref_arena.walker.walk(va, store);
-        auto soa_walk = soa_arena.walker.walk(va, store);
-        ASSERT_FALSE(ref_walk.pageFault());
-        ASSERT_FALSE(soa_walk.pageFault());
-        FillInfo ref_fill;
-        ref_fill.leaf = *ref_walk.leaf;
-        ref_fill.vaddr = va;
-        ref_fill.walk = &ref_walk;
-        ref->fill(ref_fill);
-        FillInfo soa_fill;
-        soa_fill.leaf = *soa_walk.leaf;
-        soa_fill.vaddr = va;
-        soa_fill.walk = &soa_walk;
-        soa->fill(soa_fill);
-    };
-
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-    const Asid asids[] = {0, 1, 2};
-    for (int i = 0; i < 20000; i++) {
-        if (rng.chance(0.001)) {
-            Asid asid = asids[rng.nextBounded(3)];
-            ref->setAsid(asid);
-            soa->setAsid(asid);
-        }
-        VAddr va = ref_arena.randomAddr(rng);
-        bool store = rng.chance(0.3);
-        auto ref_result = ref->lookup(va, store);
-        auto soa_result = soa->lookup(va, store);
-        expectLookupEq(ref_result, soa_result, va);
-        auto truth = ref_arena.table.translate(va);
-        ASSERT_TRUE(truth.has_value());
-        if (!ref_result.hit && ref->supports(truth->size))
-            fillBoth(va, store);
-        if (rng.chance(0.05)) {
-            ref->markDirty(va);
-            soa->markDirty(va);
-        }
-        if (rng.chance(0.004)) {
-            VAddr page =
-                ref_arena.pages[rng.nextBounded(ref_arena.pages.size())];
-            auto size = ref_arena.table.translate(page)->size;
-            ref->invalidate(page, size);
-            soa->invalidate(page, size);
-        }
-        if (rng.chance(0.001)) {
-            Asid asid = asids[rng.nextBounded(3)];
-            ref->invalidateAsid(asid);
-            soa->invalidateAsid(asid);
-        }
-    }
-
-    // Post-state: a full deterministic sweep (lookups mutate MRU
-    // order, but both sides see the same sweep, so they stay in
-    // lockstep) followed by a byte-for-byte stat comparison.
-    ref->setAsid(0);
-    soa->setAsid(0);
-    for (VAddr page : ref_arena.pages) {
-        auto size = ref_arena.table.translate(page)->size;
-        for (VAddr off : {VAddr(0), VAddr(0x40),
-                          VAddr(pageBytes(size) - 1)}) {
-            expectLookupEq(ref->lookup(page + off, false),
-                           soa->lookup(page + off, false), page + off);
-        }
-    }
-    EXPECT_EQ(statDump(ref_arena.root), statDump(soa_arena.root));
-}
-
-} // anonymous namespace
-
-TEST_P(FamilyProperty, SoaTagLanesMatchReferenceScan)
-{
-    const Family family = GetParam();
-    compareScanModes(
-        [&](stats::StatGroup *root) {
-            return FamilyProperty::build(family, root);
-        },
-        17);
-}
-
-TEST_P(MixProperty, SoaTagLanesMatchReferenceScan)
-{
-    const auto &geometry = GetParam();
-    compareScanModes(
-        [&](stats::StatGroup *root) {
-            MixTlbParams params;
-            params.entries = geometry.entries;
-            params.assoc = geometry.assoc;
-            params.mode = geometry.mode;
-            params.colt4k = geometry.colt4k;
-            params.alignmentRestricted = geometry.alignment;
-            return std::make_unique<MixTlb>("mix", root, params);
-        },
-        19);
-}
-
-namespace
-{
 
 /**
  * Bit-exactness of the L0 MRU translation filter: a full machine run
@@ -639,14 +535,13 @@ INSTANTIATE_TEST_SUITE_P(Designs, L0FilterProperty,
                                            sim::TlbDesign::Mix,
                                            sim::TlbDesign::MixColt,
                                            sim::TlbDesign::HashRehash,
-                                           sim::TlbDesign::Skew));
+                                           sim::TlbDesign::Skew),
+                         designTestName);
 
 /**
  * The probe kernels (src/common/simd.hh, DESIGN.md section 13) against
- * naive loops written here: the raw kernels on adversarial
- * collision-heavy lanes of every ragged size 0..65 with random start
- * offsets, and TagLaneSet::findTag/findTagAny, where tag collisions
- * force the continue-past-failed-confirm resumption mid-lane.
+ * naive loops written here, on adversarial collision-heavy lanes of
+ * every ragged size 0..65.
  */
 TEST(SimdKernels, FirstEqualMatchesScalarOnAdversarialLanes)
 {
@@ -663,47 +558,13 @@ TEST(SimdKernels, FirstEqualMatchesScalarOnAdversarialLanes)
             t = pool[rng.nextBounded(4)];
         const std::uint64_t needle =
             rng.chance(0.8) ? pool[rng.nextBounded(4)] : rng.next();
-        const std::size_t start = rng.nextBounded(n + 2);
         std::size_t want = simd::npos;
-        for (std::size_t i = start; i < n && want == simd::npos; ++i) {
+        for (std::size_t i = 0; i < n && want == simd::npos; ++i) {
             if (lane[i] == needle)
                 want = i;
         }
-        ASSERT_EQ(simd::firstEqual(lane.data(), n, needle, start), want)
-            << "n=" << n << " start=" << start;
-    }
-}
-
-TEST(SimdKernels, FirstEqualAnyMatchesScalarOnAdversarialLanes)
-{
-    Rng rng(0x51D1);
-    for (int iter = 0; iter < 4000; ++iter) {
-        const std::size_t n = rng.nextBounded(66);
-        std::uint64_t pool[4];
-        for (auto &p : pool)
-            p = rng.next();
-        std::vector<std::uint64_t> lane(n);
-        for (auto &t : lane)
-            t = pool[rng.nextBounded(4)];
-        // 0..6 candidates: every case of the kernel's switch, the
-        // 1-candidate firstEqual path and the generic 4+ loop.
-        const unsigned ncands = static_cast<unsigned>(rng.nextBounded(7));
-        std::uint64_t cands[6];
-        for (unsigned c = 0; c < ncands; ++c)
-            cands[c] = rng.chance(0.6) ? pool[rng.nextBounded(4)]
-                                       : rng.next();
-        const std::size_t start = rng.nextBounded(n + 2);
-        std::size_t want = simd::npos;
-        for (std::size_t i = start; i < n && want == simd::npos; ++i) {
-            for (unsigned c = 0; c < ncands; ++c) {
-                if (lane[i] == cands[c])
-                    want = i;
-            }
-        }
-        ASSERT_EQ(
-            simd::firstEqualAny(lane.data(), n, cands, ncands, start),
-            want)
-            << "n=" << n << " ncands=" << ncands << " start=" << start;
+        ASSERT_EQ(simd::firstEqual(lane.data(), n, needle), want)
+            << "n=" << n;
     }
 }
 
@@ -736,47 +597,6 @@ TEST(SimdKernels, L0RunLengthMatchesScalar)
                       want)
                 << "n=" << n << " stores_ok=" << stores_ok;
         }
-    }
-}
-
-TEST(SimdKernels, TagLaneResumesPastFailedConfirms)
-{
-    Rng rng(0x51D3);
-    for (int iter = 0; iter < 1000; ++iter) {
-        TagLaneSet<std::uint64_t> set;
-        const std::size_t n = rng.nextBounded(66);
-        std::uint64_t pool[3];
-        for (auto &p : pool)
-            p = rng.next();
-        for (std::size_t i = 0; i < n; ++i)
-            set.insertFront(pool[rng.nextBounded(3)], rng.nextBounded(8));
-        // Confirm accepts only one payload residue: with ~n/3 equal
-        // tags and a 1/8 acceptance rate the scan routinely rejects
-        // several tag hits before confirming mid-lane (or never).
-        const std::uint64_t accept = rng.nextBounded(8);
-        const auto confirm = [&](const std::uint64_t &p) {
-            return p == accept;
-        };
-        const std::uint64_t needle = pool[rng.nextBounded(3)];
-        std::size_t want = TagLaneSet<std::uint64_t>::npos;
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            if (set.tag(i) == needle && confirm(set.payload(i))) {
-                want = i;
-                break;
-            }
-        }
-        ASSERT_EQ(set.findTag(needle, confirm), want);
-        std::uint64_t cands[2] = {pool[rng.nextBounded(3)],
-                                  pool[rng.nextBounded(3)]};
-        std::size_t want_any = TagLaneSet<std::uint64_t>::npos;
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            if ((set.tag(i) == cands[0] || set.tag(i) == cands[1]) &&
-                confirm(set.payload(i))) {
-                want_any = i;
-                break;
-            }
-        }
-        ASSERT_EQ(set.findTagAny(cands, 2, confirm), want_any);
     }
 }
 
@@ -944,4 +764,5 @@ INSTANTIATE_TEST_SUITE_P(Designs, BatchProperty,
                                            sim::TlbDesign::Mix,
                                            sim::TlbDesign::MixColt,
                                            sim::TlbDesign::HashRehash,
-                                           sim::TlbDesign::Skew));
+                                           sim::TlbDesign::Skew),
+                         designTestName);

@@ -12,14 +12,6 @@ construction of std::vector / std::list / std::deque / std::string.
 std::vector::insert on a reserved set (the sanctioned MRU pattern from
 set_assoc.cc) is deliberately allowed: capacity is reserved at
 construction, so steady-state inserts never allocate.
-
-The hot-path-scan rule (PR 9) additionally flags linear `std::find_if`
-entry scans inside hot functions: the repo's probe loops moved to
-TagLaneSet's packed tag lanes, so a find_if over full entry structs on
-the hot path is either a regression or an unconverted design. The
-sanctioned scans — TagLaneSet's own lanes, or a deliberate reference
-fallback — are annotated `// mixcheck: soa-scan` within the 3 lines
-above the scan, which exempts them.
 """
 
 import re
@@ -155,19 +147,6 @@ def _scan_body(source, tables, defs, lo, hi, func_name, origin,
                         f"function {origin}: only fixed-capacity "
                         "containers (InlineVec) may grow on the hot "
                         "path"))
-            elif tok.text == "find_if" and i + 1 <= hi \
-                    and tokens[i + 1].text == "(":
-                sanctioned = any(
-                    line in source.soa_scan_lines
-                    for line in range(tok.line - 3, tok.line + 1))
-                if not sanctioned:
-                    findings.append(source.finding(
-                        tok.line, "hot-path-scan",
-                        f"linear find_if entry scan inside hot "
-                        f"function {origin}: probe through a "
-                        "TagLaneSet tag lane, or annotate a "
-                        "deliberate reference scan with "
-                        "'// mixcheck: soa-scan'"))
             elif tok.text in HEAP_CONTAINERS and i >= 2 \
                     and tokens[i - 1].text == "::" \
                     and tokens[i - 2].text == "std":

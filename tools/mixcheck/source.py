@@ -12,10 +12,6 @@ Finding = namedtuple("Finding", ["file", "line", "rule", "message"])
 SUPPRESS_RE = re.compile(
     r"//\s*mixcheck:\s*allow\(([\w-]+)\)(?:\s*--\s*(\S.*\S|\S))?")
 HOT_RE = re.compile(r"//\s*mixcheck:\s*hot\b")
-# Sanctioned SoA tag-lane scan (TagLaneSet and deliberate reference
-# fallbacks): a linear entry scan within 3 lines below this marker is
-# exempt from the hot-path-scan rule.
-SOA_RE = re.compile(r"//\s*mixcheck:\s*soa-scan\b")
 
 # Repo-wide constexpr integer constants: `constexpr ... Name = <expr>;`
 # The RHS may reference other constants (Order2M = PageShift2M -
@@ -56,7 +52,6 @@ class SourceFile:
         self._template_brackets = None
         self.suppressions = {}  # line -> (rule, has_reason)
         self.hot_lines = []
-        self.soa_scan_lines = set()
         for lineno, line in enumerate(self.lines, 1):
             match = SUPPRESS_RE.search(line)
             if match:
@@ -64,8 +59,6 @@ class SourceFile:
                                              bool(match.group(2)))
             if HOT_RE.search(line):
                 self.hot_lines.append(lineno)
-            if SOA_RE.search(line):
-                self.soa_scan_lines.add(lineno)
 
     @property
     def tokens(self):
