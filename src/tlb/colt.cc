@@ -200,10 +200,16 @@ void
 ColtTlb::markDirty(VAddr vaddr)
 {
     VAddr wbase = windowBase(pageBase(vaddr, size_));
+    auto slot = static_cast<unsigned>(
+        (pageBase(vaddr, size_) - wbase) / pageBytes(size_));
+    // Only a singleton holding vaddr's own page may go dirty: another
+    // singleton of the same window caches a different, still-clean
+    // page.
     for (auto &entry : sets_[setOf(vaddr)]) {
         if (entry.wbase != wbase || entry.asid != asid_)
             continue;
-        if (std::popcount(entry.bitmap) == 1)
+        if (std::popcount(entry.bitmap) == 1 &&
+            ((entry.bitmap >> (slot & 31)) & 1))
             entry.dirty = true;
     }
 }

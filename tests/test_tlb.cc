@@ -383,6 +383,23 @@ TEST(Colt, NonContiguousPagesDoNotCoalesce)
     EXPECT_FALSE(tlb.lookup(0x11000, false).hit);
 }
 
+TEST(Colt, MarkDirtyLeavesNeighbourSingletonClean)
+{
+    // Two clean pages of one 4-page window, physically non-contiguous:
+    // each sits in its own singleton entry. Dirtying page 0 must not
+    // dirty page 1's entry, or page 1's first store would skip its
+    // dirty micro-op and PTE dirty-bit update.
+    stats::StatGroup root("test");
+    ColtTlb tlb("colt", &root, 32, 4, PageSize::Size4K, 4);
+    tlb.fill(simpleFill(xlate4k(0x10000, 0x800000)));
+    tlb.fill(simpleFill(xlate4k(0x11000, 0x900000)));
+    tlb.markDirty(0x10000);
+    EXPECT_TRUE(tlb.lookup(0x10000, true).entryDirty);
+    auto neighbour = tlb.lookup(0x11000, true);
+    ASSERT_TRUE(neighbour.hit);
+    EXPECT_FALSE(neighbour.entryDirty);
+}
+
 TEST(Colt, SuperpageVariantForColtPlusPlus)
 {
     mem::PhysMem mem{1 * GiB};
