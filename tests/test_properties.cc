@@ -240,7 +240,7 @@ mixGeometryName(const ::testing::TestParamInfo<MixGeometry> &info)
            (g.alignment ? "aligned" : "floating");
 }
 
-/** The parameter's decimal value, the name gtest would print for it. */
+/** An integer parameter's instance named by its value, e.g. `4`. */
 template <typename T>
 std::string
 numberName(const ::testing::TestParamInfo<T> &info)
