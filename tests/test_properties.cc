@@ -202,6 +202,66 @@ fuzzAcrossAsids(BaseTlb &tlb, Arena *const (&spaces)[3],
     }
 }
 
+/**
+ * Soundness of the entry dirty bit: a store that hits an entry
+ * reporting entryDirty skips the dirty micro-op, so entryDirty may
+ * only be reported for a page whose PTE Dirty bit is set. The op
+ * stream follows the hierarchy's store protocol (a clean store hit
+ * sets the PTE's D bit, then markDirty; a store miss walks with
+ * is_store) and keeps a mix of clean and dirty pages by cleaning
+ * random pages the way writeback does: the mapping is reinstalled with
+ * A/D clear and the page is shot down. Every hit of a clean page must
+ * then report a clean entry, whatever neighbour, mirror or bundle
+ * member was dirtied meanwhile.
+ */
+void
+fuzzEntryDirty(BaseTlb &tlb, Arena &arena, std::uint64_t seed,
+               int iterations = 20000)
+{
+    Rng rng(seed);
+    const auto expectSound = [&](VAddr va, const TlbLookup &result) {
+        auto truth = arena.table.translate(va);
+        ASSERT_TRUE(truth.has_value());
+        ASSERT_EQ(result.xlate.translate(va), truth->translate(va))
+            << std::hex << "va=0x" << va;
+        ASSERT_TRUE(!result.entryDirty || truth->dirty)
+            << std::hex << "clean page reported dirty: va=0x" << va;
+    };
+    for (int i = 0; i < iterations; i++) {
+        VAddr va = arena.randomAddr(rng);
+        bool store = rng.chance(0.1);
+        auto result = tlb.lookup(va, store);
+        if (result.hit) {
+            ASSERT_NO_FATAL_FAILURE(expectSound(va, result));
+            if (store && !result.entryDirty) {
+                arena.table.setDirty(va);
+                tlb.markDirty(va);
+            }
+        } else if (tlb.supports(arena.table.translate(va)->size)) {
+            auto walk = arena.walker.walk(va, store);
+            ASSERT_FALSE(walk.pageFault());
+            FillInfo fill;
+            fill.leaf = *walk.leaf;
+            fill.vaddr = va;
+            fill.walk = &walk;
+            tlb.fill(fill);
+        }
+        if (rng.chance(0.1)) {
+            VAddr page = arena.pages[rng.nextBounded(
+                arena.pages.size())];
+            auto truth = *arena.table.translate(page);
+            ASSERT_TRUE(arena.table.unmap(page));
+            arena.table.map(page, truth.pbase, truth.size, truth.perms);
+            tlb.invalidate(page, truth.size);
+        }
+    }
+    for (VAddr page : arena.pages) {
+        auto result = tlb.lookup(page, false);
+        if (result.hit)
+            ASSERT_NO_FATAL_FAILURE(expectSound(page, result));
+    }
+}
+
 /** Three address spaces over the same virtual pages, 2GB apart. */
 struct AsidSpaces
 {
@@ -290,6 +350,20 @@ TEST_P(MixProperty, HitsAgreeWithActiveAsidPageTable)
     fuzzAcrossAsids(tlb, asids.spaces, 31);
 }
 
+TEST_P(MixProperty, EntryDirtyImpliesDirtyPte)
+{
+    const auto &geometry = GetParam();
+    Arena arena(47);
+    MixTlbParams params;
+    params.entries = geometry.entries;
+    params.assoc = geometry.assoc;
+    params.mode = geometry.mode;
+    params.colt4k = geometry.colt4k;
+    params.alignmentRestricted = geometry.alignment;
+    MixTlb tlb("mix", &arena.root, params);
+    fuzzEntryDirty(tlb, arena, 53);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, MixProperty,
     ::testing::Values(
@@ -323,6 +397,17 @@ TEST_P(MixSuperIndexProperty, AblationModeStaysCorrect)
     params.superpageIndexBits = true;
     MixTlb tlb("mixsp", &arena.root, params);
     fuzzAgainstPageTable(tlb, arena, 11);
+}
+
+TEST_P(MixSuperIndexProperty, EntryDirtyImpliesDirtyPte)
+{
+    Arena arena(48);
+    MixTlbParams params;
+    params.entries = 96;
+    params.assoc = GetParam();
+    params.superpageIndexBits = true;
+    MixTlb tlb("mixsp", &arena.root, params);
+    fuzzEntryDirty(tlb, arena, 59);
 }
 
 INSTANTIATE_TEST_SUITE_P(Assocs, MixSuperIndexProperty,
@@ -412,6 +497,13 @@ TEST_P(FamilyProperty, HitsAgreeWithActiveAsidPageTable)
     AsidSpaces asids(46);
     auto tlb = build(GetParam(), &asids.a0.root);
     fuzzAcrossAsids(*tlb, asids.spaces, 37);
+}
+
+TEST_P(FamilyProperty, EntryDirtyImpliesDirtyPte)
+{
+    Arena arena(49);
+    auto tlb = build(GetParam(), &arena.root);
+    fuzzEntryDirty(*tlb, arena, 61);
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, FamilyProperty,
