@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/simd.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -53,9 +54,7 @@ class Cache
     prefetchSet(PAddr paddr) const
     {
         const std::uint64_t set = setOf(tagOf(paddr));
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(tags_.data() + set * params_.assoc, 1, 3);
-#endif
+        simd::prefetchWrite(tags_.data() + set * params_.assoc);
     }
 
     /** Drop every cached line. */

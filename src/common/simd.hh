@@ -13,9 +13,9 @@
  * every perfbench workload and resolved no difference, so it was
  * retired (DESIGN.md section 13).
  *
- *   - `prefetchRead`/`prefetchWrite` hint the next set or trace
- *     chunk; the L2/LLC set prefetch is the measured win of the probe
- *     work (DESIGN.md section 13).
+ *   - `prefetchWrite` hints the next set or trace chunk; the L2/LLC
+ *     set prefetch is the measured win of the probe work (DESIGN.md
+ *     section 13).
  *
  * This is the only file in the tree allowed to touch raw intrinsics
  * (mixcheck rule `simd`): a future wide kernel goes here, behind the
@@ -45,19 +45,9 @@ activeKernelName()
     return "scalar";
 }
 
-/** Hint loads/stores of the line holding @p p (no-op off GNU/Clang). */
+/** Hint stores to the line holding @p p (no-op off GNU/Clang). */
 inline void
-prefetchRead(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0, 3);
-#else
-    (void)p;
-#endif
-}
-
-inline void
-prefetchWrite(void *p)
+prefetchWrite(const void *p)
 {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(p, 1, 3);

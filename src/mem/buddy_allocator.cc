@@ -1,8 +1,7 @@
 #include "buddy_allocator.hh"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
+#include <bit>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -10,62 +9,111 @@
 namespace mixtlb::mem
 {
 
+namespace
+{
+
+/** One summary layer over @p below: bit w set iff below[w] != 0. */
+std::vector<std::uint64_t>
+summarize(const std::vector<std::uint64_t> &below)
+{
+    std::vector<std::uint64_t> above(divCeil(below.size(), 64), 0);
+    for (std::size_t w = 0; w < below.size(); w++) {
+        if (below[w] != 0)
+            above[w >> 6] |= pow2(w & 63);
+    }
+    return above;
+}
+
+} // anonymous namespace
+
+BuddyAllocator::Level::Level(std::uint64_t nbits)
+    : nbits(nbits), count(nbits)
+{
+    // Every block is free: whole words of ones, then the ragged tail.
+    std::vector<std::uint64_t> bits(
+        std::max<std::uint64_t>(1, divCeil(nbits, 64)), ~0ULL);
+    if (nbits % 64 != 0 || nbits == 0)
+        bits.back() = pow2(nbits & 63) - 1;
+    layers.push_back(std::move(bits));
+    while (layers.back().size() > 1)
+        layers.push_back(summarize(layers.back()));
+}
+
+bool
+BuddyAllocator::Level::test(std::uint64_t i) const
+{
+    return i < nbits && ((layers[0][i >> 6] >> (i & 63)) & 1) != 0;
+}
+
+std::optional<std::uint64_t>
+BuddyAllocator::Level::lowest() const
+{
+    if (layers.back()[0] == 0)
+        return std::nullopt;
+    std::uint64_t i = 0;
+    for (std::size_t h = layers.size(); h-- > 0;)
+        i = (i << 6) | std::countr_zero(layers[h][i]);
+    return i;
+}
+
+void
+BuddyAllocator::Level::assign(std::uint64_t lo, std::uint64_t n,
+                              bool value)
+{
+    if (n < 64) {
+        const std::uint64_t mask = shiftLeft(pow2(n) - 1, lo & 63);
+        const std::uint64_t word = layers[0][lo >> 6];
+        store(lo >> 6, value ? word | mask : word & ~mask);
+        return;
+    }
+    // A block of 64 or more bits is a run of whole words.
+    for (std::uint64_t w = lo >> 6; w < (lo + n) >> 6; w++)
+        store(w, value ? ~0ULL : 0);
+}
+
+void
+BuddyAllocator::Level::store(std::uint64_t w, std::uint64_t value)
+{
+    std::uint64_t &word = layers[0][w];
+    count = count - std::popcount(word) + std::popcount(value);
+    const bool nonzero = value != 0;
+    const bool changed = (word != 0) != nonzero;
+    word = value;
+    // A word turning (non-)zero flips its summary bit, and so on up
+    // while each summary word turns (non-)zero too.
+    for (std::size_t h = 1; changed && h < layers.size(); h++) {
+        std::uint64_t &sum = layers[h][w >> 6];
+        const bool was = sum != 0;
+        sum = nonzero ? sum | pow2(w & 63) : sum & ~pow2(w & 63);
+        if (was == (sum != 0))
+            break;
+        w >>= 6;
+    }
+}
+
 BuddyAllocator::BuddyAllocator(std::uint64_t total_frames)
-    : totalFrames_(total_frames), freeFrames_(total_frames),
-      freeLists_(MaxOrder + 1)
+    : totalFrames_(total_frames)
 {
     panic_if(total_frames == 0, "empty physical memory");
-    // Seed the free lists with maximal naturally aligned blocks, as a
-    // real buddy system would after boot.
-    Pfn pfn = 0;
-    std::uint64_t remaining = total_frames;
-    while (remaining > 0) {
-        unsigned order = MaxOrder;
-        while (order > 0 &&
-               ((pfn & (pow2(order) - 1)) != 0 ||
-                pow2(order) > remaining)) {
-            order--;
-        }
-        freeLists_[order].insert(pfn);
-        pfn += pow2(order);
-        remaining -= pow2(order);
-    }
+    levels_.reserve(MaxOrder + 1);
+    for (unsigned o = 0; o <= MaxOrder; o++)
+        levels_.emplace_back(shiftRight(total_frames, o));
 }
 
 std::optional<Pfn>
 BuddyAllocator::alloc(unsigned order)
 {
     panic_if(order > MaxOrder, "alloc order %u too large", order);
-
-    // Find the lowest-address block among all orders >= requested that
-    // could satisfy this request; preferring the lowest *address* (not
-    // the smallest sufficient order) is what generates physically
-    // contiguous consecutive allocations.
-    unsigned best_order = 0;
-    Pfn best_pfn = 0;
-    bool found = false;
-    for (unsigned o = order; o <= MaxOrder; o++) {
-        if (freeLists_[o].empty())
-            continue;
-        Pfn candidate = *freeLists_[o].begin();
-        if (!found || candidate < best_pfn) {
-            found = true;
-            best_pfn = candidate;
-            best_order = o;
-        }
-    }
-    if (!found)
+    // The lowest all-free aligned block of this order: the same frames
+    // a list-based buddy splits off the lowest block of any order >=
+    // the requested one, which is what makes consecutive allocations
+    // physically contiguous.
+    auto index = levels_[order].lowest();
+    if (!index)
         return std::nullopt;
-
-    freeLists_[best_order].erase(best_pfn);
-    // Split down, keeping the low half each time and freeing the high
-    // half, so the returned block sits at the lowest address.
-    for (unsigned o = best_order; o > order; o--) {
-        Pfn high = best_pfn + pow2(o - 1);
-        freeLists_[o - 1].insert(high);
-    }
-    freeFrames_ -= pow2(order);
-    return best_pfn;
+    const Pfn pfn = shiftLeft(*index, order);
+    mark(pfn, order, false);
+    return pfn;
 }
 
 bool
@@ -76,53 +124,25 @@ BuddyAllocator::allocRegion(Pfn pfn, unsigned order)
              "allocRegion misaligned pfn");
     if (!isRegionFree(pfn, order))
         return false;
-
-    // Carve the region out of whichever free blocks cover it. Because
-    // blocks are naturally aligned, a covering block either contains the
-    // whole region or is contained by it.
-    std::uint64_t want_lo = pfn;
-    std::uint64_t want_hi = pfn + pow2(order);
-    for (unsigned o = 0; o <= MaxOrder; o++) {
-        auto &list = freeLists_[o];
-        auto it = list.lower_bound(
-            want_lo >= pow2(o) ? want_lo - pow2(o) + 1 : 0);
-        while (it != list.end() && *it < want_hi) {
-            Pfn blk = *it;
-            std::uint64_t blk_hi = blk + pow2(o);
-            if (blk_hi <= want_lo) {
-                ++it;
-                continue;
-            }
-            it = list.erase(it);
-            if (blk >= want_lo && blk_hi <= want_hi) {
-                // fully consumed
-                continue;
-            }
-            // The block contains the region: split off the parts outside.
-            // Keep splitting the covering block; re-add children outside
-            // the wanted range.
-            unsigned co = o;
-            Pfn cur = blk;
-            while (co > order) {
-                co--;
-                Pfn low = cur;
-                Pfn high = cur + pow2(co);
-                if (want_lo >= high) {
-                    freeLists_[co].insert(low);
-                    cur = high;
-                } else {
-                    freeLists_[co].insert(high);
-                    cur = low;
-                }
-                // Re-fetch iterator invalidation safety: we only touch
-                // freeLists_[co] with co < o here and `it` points into
-                // freeLists_[o], which erase() already advanced.
-            }
-            break;
-        }
-    }
-    freeFrames_ -= pow2(order);
+    mark(pfn, order, false);
     return true;
+}
+
+void
+BuddyAllocator::mark(Pfn pfn, unsigned order, bool free)
+{
+    for (unsigned o = 0; o <= order; o++)
+        levels_[o].assign(shiftRight(pfn, o), pow2(order - o), free);
+    // Re-derive each enclosing block from its halves (merging on free,
+    // splitting on claim) until one comes out as it already was.
+    for (unsigned o = order + 1; o <= MaxOrder; o++) {
+        const std::uint64_t i = shiftRight(pfn, o);
+        const bool all_free =
+            levels_[o - 1].test(2 * i) && levels_[o - 1].test(2 * i + 1);
+        if (levels_[o].test(i) == all_free)
+            break;
+        levels_[o].assign(i, 1, all_free);
+    }
 }
 
 void
@@ -130,55 +150,28 @@ BuddyAllocator::free(Pfn pfn, unsigned order)
 {
     panic_if(order > MaxOrder, "free order %u too large", order);
     panic_if((pfn & (pow2(order) - 1)) != 0, "free misaligned pfn");
-    insertAndMerge(pfn, order);
-    freeFrames_ += pow2(order);
-}
-
-void
-BuddyAllocator::insertAndMerge(Pfn pfn, unsigned order)
-{
-    while (order < MaxOrder) {
-        Pfn buddy = pfn ^ pow2(order);
-        auto it = freeLists_[order].find(buddy);
-        if (it == freeLists_[order].end())
-            break;
-        freeLists_[order].erase(it);
-        pfn = pfn & buddy; // the lower of the two
-        order++;
-    }
-    auto [it, inserted] = freeLists_[order].insert(pfn);
-    panic_if(!inserted, "double free of pfn 0x%llx",
+    panic_if(pfn + pow2(order) > totalFrames_,
+             "free of pfn 0x%llx past the %llu managed frames",
+             (unsigned long long)pfn, (unsigned long long)totalFrames_);
+    panic_if(isRegionFree(pfn, order), "double free of pfn 0x%llx",
              (unsigned long long)pfn);
+    mark(pfn, order, true);
 }
 
 bool
 BuddyAllocator::isRegionFree(Pfn pfn, unsigned order) const
 {
-    std::uint64_t want_lo = pfn;
-    std::uint64_t want_hi = pfn + pow2(order);
-    std::uint64_t covered = 0;
-    for (unsigned o = 0; o <= MaxOrder; o++) {
-        const auto &list = freeLists_[o];
-        auto it = list.lower_bound(
-            want_lo >= pow2(o) ? want_lo - pow2(o) + 1 : 0);
-        for (; it != list.end() && *it < want_hi; ++it) {
-            std::uint64_t blk_lo = *it;
-            std::uint64_t blk_hi = blk_lo + pow2(o);
-            if (blk_hi <= want_lo)
-                continue;
-            std::uint64_t lo = blk_lo > want_lo ? blk_lo : want_lo;
-            std::uint64_t hi = blk_hi < want_hi ? blk_hi : want_hi;
-            covered += hi - lo;
-        }
-    }
-    return covered == want_hi - want_lo;
+    panic_if(order > MaxOrder, "isRegionFree order %u too large", order);
+    panic_if((pfn & (pow2(order) - 1)) != 0,
+             "isRegionFree misaligned pfn");
+    return levels_[order].test(shiftRight(pfn, order));
 }
 
 std::optional<unsigned>
 BuddyAllocator::largestFreeOrder() const
 {
     for (unsigned o = MaxOrder + 1; o-- > 0;) {
-        if (!freeLists_[o].empty())
+        if (levels_[o].count > 0)
             return o;
     }
     return std::nullopt;
@@ -188,85 +181,58 @@ std::uint64_t
 BuddyAllocator::freeBlocksAt(unsigned order) const
 {
     panic_if(order > MaxOrder, "order %u too large", order);
-    return freeLists_[order].size();
-}
-
-void
-BuddyAllocator::forEachFreeBlock(
-    const std::function<void(Pfn, unsigned)> &fn) const
-{
-    for (unsigned o = 0; o <= MaxOrder; o++) {
-        for (Pfn pfn : freeLists_[o])
-            fn(pfn, o);
-    }
+    // Each free block one order up holds two free blocks here that are
+    // not on this order's list.
+    const std::uint64_t merged =
+        order < MaxOrder ? 2 * levels_[order + 1].count : 0;
+    return levels_[order].count - merged;
 }
 
 void
 BuddyAllocator::audit(contracts::AuditReport &report) const
 {
-    // Flatten the per-order lists into [lo, hi) frame intervals.
-    std::vector<std::pair<Pfn, std::uint64_t>> blocks; // (pfn, frames)
-    std::uint64_t free_sum = 0;
     for (unsigned o = 0; o <= MaxOrder; o++) {
-        const std::uint64_t frames = pow2(o);
-        for (Pfn pfn : freeLists_[o]) {
-            MIX_AUDIT_CHECK(report, (pfn & (frames - 1)) == 0,
-                            "order-%u free block at pfn 0x%llx is not "
-                            "naturally aligned",
-                            o, (unsigned long long)pfn);
-            MIX_AUDIT_CHECK(report, pfn + frames <= totalFrames_,
-                            "order-%u free block at pfn 0x%llx runs "
-                            "past the %llu managed frames",
-                            o, (unsigned long long)pfn,
-                            (unsigned long long)totalFrames_);
-            if (o < MaxOrder &&
-                freeLists_[o].count(pfn ^ frames) > 0) {
-                // Report each unmerged pair once (from its low half).
-                MIX_AUDIT_CHECK(report, (pfn & frames) != 0,
-                                "order-%u buddies 0x%llx/0x%llx both "
-                                "free but unmerged",
-                                o, (unsigned long long)pfn,
-                                (unsigned long long)(pfn ^ frames));
-            }
-            blocks.emplace_back(pfn, frames);
-            free_sum += frames;
+        const Level &level = levels_[o];
+        const auto &bits = level.layers[0];
+
+        std::uint64_t count = 0;
+        for (std::uint64_t word : bits)
+            count += std::popcount(word);
+        MIX_AUDIT_CHECK(report, count == level.count,
+                        "order-%u bits hold %llu free blocks but the "
+                        "count says %llu (alloc/free leaked or minted "
+                        "frames)",
+                        o, (unsigned long long)count,
+                        (unsigned long long)level.count);
+
+        for (std::size_t h = 1; h < level.layers.size(); h++) {
+            MIX_AUDIT_CHECK(report,
+                            summarize(level.layers[h - 1]) ==
+                                level.layers[h],
+                            "order-%u summary layer %zu disagrees with "
+                            "the words below it",
+                            o, h);
+        }
+
+        // The merge invariant: each bit is the AND of its two halves.
+        for (std::uint64_t i = 0; o > 0 && i < level.nbits; i++) {
+            const Level &halves = levels_[o - 1];
+            const bool want = halves.test(2 * i) && halves.test(2 * i + 1);
+            if (level.test(i) == want)
+                continue;
+            MIX_AUDIT_CHECK(report, false,
+                            "order-%u block at pfn 0x%llx is marked %s "
+                            "but its halves say %s",
+                            o, (unsigned long long)shiftLeft(i, o),
+                            want ? "allocated" : "free",
+                            want ? "free" : "allocated");
+            break;
         }
     }
-
-    MIX_AUDIT_CHECK(report, free_sum == freeFrames_,
-                    "free lists hold %llu frames but freeFrames() "
-                    "says %llu (split/merge leaked or minted frames)",
-                    (unsigned long long)free_sum,
-                    (unsigned long long)freeFrames_);
-    MIX_AUDIT_CHECK(report, freeFrames_ <= totalFrames_,
+    MIX_AUDIT_CHECK(report, freeFrames() <= totalFrames_,
                     "freeFrames %llu exceeds totalFrames %llu",
-                    (unsigned long long)freeFrames_,
+                    (unsigned long long)freeFrames(),
                     (unsigned long long)totalFrames_);
-
-    std::sort(blocks.begin(), blocks.end());
-    for (std::size_t i = 1; i < blocks.size(); i++) {
-        const auto &[prev, prev_frames] = blocks[i - 1];
-        const auto &[cur, cur_frames] = blocks[i];
-        (void)cur_frames;
-        MIX_AUDIT_CHECK(report, prev + prev_frames <= cur,
-                        "free blocks overlap: [0x%llx, 0x%llx) and "
-                        "0x%llx",
-                        (unsigned long long)prev,
-                        (unsigned long long)(prev + prev_frames),
-                        (unsigned long long)cur);
-    }
-}
-
-double
-BuddyAllocator::fragmentationIndex(unsigned order) const
-{
-    if (freeFrames_ == 0)
-        return 0.0;
-    std::uint64_t usable = 0;
-    for (unsigned o = order; o <= MaxOrder; o++)
-        usable += shiftLeft(freeLists_[o].size(), o);
-    return 1.0 - static_cast<double>(usable)
-                 / static_cast<double>(freeFrames_);
 }
 
 } // namespace mixtlb::mem

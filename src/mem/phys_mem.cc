@@ -72,33 +72,26 @@ PhysMem::audit(contracts::AuditReport &report) const
 {
     buddy_.audit(report);
 
-    // Cross-check the usage tags against the free lists: every frame
-    // inside a free block must be tagged Free, and the Free tags must
-    // cover exactly the free frames (no frame both handed out and on
-    // a free list, none leaked as allocated-but-untracked).
-    std::vector<bool> in_free_list(frameUse_.size(), false);
-    buddy_.forEachFreeBlock([&](Pfn base, unsigned order) {
-        for (std::uint64_t i = 0; i < pow2(order); i++) {
-            if (base + i < in_free_list.size())
-                in_free_list[base + i] = true;
-        }
-    });
+    // Cross-check the usage tags against the buddy's free frames: the
+    // Free tags must cover exactly the free frames (no frame both
+    // handed out and free, none leaked as allocated-but-untracked).
     std::uint64_t mismatches = 0;
     for (Pfn pfn = 0; pfn < frameUse_.size(); pfn++) {
         const bool tagged_free = frameUse_[pfn] == FrameUse::Free;
-        if (tagged_free == in_free_list[pfn])
+        const bool free_in_buddy = buddy_.isRegionFree(pfn, 0);
+        if (tagged_free == free_in_buddy)
             continue;
         if (mismatches++ < 8) { // a systematic drift floods the report
             MIX_AUDIT_CHECK(report, false,
                             "frame 0x%llx is %s in the buddy but "
                             "tagged %s",
                             (unsigned long long)pfn,
-                            in_free_list[pfn] ? "free" : "allocated",
+                            free_in_buddy ? "free" : "allocated",
                             tagged_free ? "Free" : "in use");
         }
     }
     MIX_AUDIT_CHECK(report, mismatches <= 8,
-                    "%llu further frame tag / free list mismatches",
+                    "%llu further frame tag / buddy mismatches",
                     (unsigned long long)(mismatches - 8));
 }
 

@@ -78,9 +78,8 @@ class PhysMem
 
     /**
      * Structural audit: the buddy allocator's own invariants, plus the
-     * cross-check that frame-usage tags and the free lists agree (a
-     * frame on a free list must be tagged Free, and the Free tag count
-     * must equal freeFrames()).
+     * cross-check that frame-usage tags and the buddy agree (a frame
+     * is tagged Free iff the buddy holds it free).
      */
     void audit(contracts::AuditReport &report) const;
 

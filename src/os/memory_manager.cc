@@ -111,8 +111,8 @@ MemoryManager::allocContiguous(unsigned order, mem::FrameUse use,
     if (order > 0 && fault::fire(fault::Site::BuddyAlloc))
         return std::nullopt;
 
-    if (order == 0 || mem_.buddy().freeBlocksAt(order) > 0 ||
-        (mem_.buddy().largestFreeOrder().value_or(0) >= order)) {
+    if (order == 0 ||
+        mem_.buddy().largestFreeOrder().value_or(0) >= order) {
         auto pfn = mem_.allocFrames(order, use);
         if (pfn) {
             ++directAllocs_;

@@ -3,10 +3,10 @@
 
 Runs the fixed-seed fig14 mini-grid once per worker count and asserts
 the emitted JSON reports are identical apart from the recorded "jobs"
-field. The hot path carries several bit-exactness fast paths (L0 MRU
-filter, SoA tag lanes, fused batch translation); any of them leaking
-into modeled results — or any cross-thread nondeterminism in the sweep
-runner — shows up here as a report mismatch.
+field. The hot path carries bit-exactness fast paths (L0 MRU filter,
+fused batch translation); either of them leaking into modeled results
+— or any cross-thread nondeterminism in the sweep runner — shows up
+here as a report mismatch.
 
 Usage: run_fig14_golden.py <fig14_mix_vs_split binary> [jobs...]
 """

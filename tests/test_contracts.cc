@@ -51,13 +51,18 @@ struct MixTlbTestAccess
 namespace mixtlb::mem
 {
 
-/** Backdoor used only here: plant a bogus block on a free list. */
+/**
+ * Backdoor used only here: mark the order-@p order block at @p pfn free
+ * in its level's bits alone, leaving the count, the summary words and
+ * every other level as they were.
+ */
 struct BuddyTestAccess
 {
     static void
-    injectFreeBlock(BuddyAllocator &buddy, Pfn pfn, unsigned order)
+    injectFreeBit(BuddyAllocator &buddy, Pfn pfn, unsigned order)
     {
-        buddy.freeLists_.at(order).insert(pfn);
+        const std::uint64_t i = pfn >> order;
+        buddy.levels_.at(order).layers.at(0).at(i / 64) |= pow2(i % 64);
     }
 };
 
@@ -346,25 +351,28 @@ TEST(BuddyAudit, InjectedDoubleFreeBreaksConservation)
     mem::BuddyAllocator buddy(1024);
     auto pfn = buddy.alloc(0);
     ASSERT_TRUE(pfn);
-    // The frame is allocated, but a corrupt free list claims it too.
-    mem::BuddyTestAccess::injectFreeBlock(buddy, *pfn, 0);
+    // The frame is allocated, but a corrupt level-0 bit claims it too.
+    mem::BuddyTestAccess::injectFreeBit(buddy, *pfn, 0);
     contracts::AuditReport report;
     buddy.audit(report);
     EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(report.mentions("free lists hold"))
+    EXPECT_TRUE(report.mentions("order-0 bits hold 1024 free blocks"))
         << report.summary();
 }
 
-TEST(BuddyAudit, MisalignedFreeBlockIsReported)
+TEST(BuddyAudit, UnmergedLevelBitIsReported)
 {
     mem::BuddyAllocator buddy(1024);
-    auto pfn = buddy.alloc(3); // carve out room for the bogus block
+    auto pfn = buddy.alloc(0);
     ASSERT_TRUE(pfn);
-    mem::BuddyTestAccess::injectFreeBlock(buddy, *pfn + 1, 1);
+    // Frame 0 is allocated, yet the order-1 bit over frames 0-1 says
+    // the pair is free.
+    mem::BuddyTestAccess::injectFreeBit(buddy, *pfn, 1);
     contracts::AuditReport report;
     buddy.audit(report);
     EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(report.mentions("naturally aligned"))
+    EXPECT_TRUE(report.mentions("order-1 block at pfn 0x0 is marked free "
+                                "but its halves say allocated"))
         << report.summary();
 }
 
@@ -377,7 +385,7 @@ TEST(PhysMemAudit, FreeListAndUsageTagDisagreementIsReported)
     pm.audit(clean);
     EXPECT_TRUE(clean.ok()) << clean.summary();
 
-    mem::BuddyTestAccess::injectFreeBlock(pm.buddy(), *pfn, 0);
+    mem::BuddyTestAccess::injectFreeBit(pm.buddy(), *pfn, 0);
     contracts::AuditReport report;
     pm.audit(report);
     EXPECT_FALSE(report.ok());

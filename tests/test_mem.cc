@@ -1,14 +1,19 @@
 /**
  * @file
- * Unit and property tests for src/mem: buddy allocator, physical memory,
- *
+ * Unit and property tests for src/mem: the buddy allocator, checked
+ * against a list-based spec, and physical memory.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "common/intmath.hh"
 #include "common/random.hh"
 #include "mem/buddy_allocator.hh"
 #include "mem/phys_mem.hh"
@@ -21,6 +26,140 @@ namespace
 
 constexpr std::uint64_t MiB = 1024 * 1024;
 constexpr std::uint64_t GiB = 1024 * MiB;
+constexpr unsigned MaxOrder = BuddyAllocator::MaxOrder;
+
+/**
+ * The spec BuddyAllocator must match: a list-based buddy system with
+ * one ordered std::set of free blocks per order, seeded with the
+ * maximal aligned blocks, allocating from the lowest block on any list
+ * of sufficient order, carving claimed regions out of whatever blocks
+ * cover them, and merging eagerly on free.
+ */
+class ListBuddy
+{
+  public:
+    explicit ListBuddy(std::uint64_t total_frames)
+        : lists_(MaxOrder + 1)
+    {
+        Pfn pfn = 0;
+        while (pfn < total_frames) {
+            unsigned order = MaxOrder;
+            while (order > 0 && ((pfn & (pow2(order) - 1)) != 0 ||
+                                 pfn + pow2(order) > total_frames)) {
+                order--;
+            }
+            lists_[order].insert(pfn);
+            pfn += pow2(order);
+        }
+        freeFrames_ = total_frames;
+    }
+
+    std::optional<Pfn>
+    alloc(unsigned order)
+    {
+        std::optional<std::pair<Pfn, unsigned>> best;
+        for (unsigned o = order; o <= MaxOrder; o++) {
+            if (!lists_[o].empty() &&
+                (!best || *lists_[o].begin() < best->first)) {
+                best = {*lists_[o].begin(), o};
+            }
+        }
+        if (!best)
+            return std::nullopt;
+        auto [pfn, o] = *best;
+        lists_[o].erase(pfn);
+        // Split down, keeping the low half.
+        for (; o > order; o--)
+            lists_[o - 1].insert(pfn + pow2(o - 1));
+        freeFrames_ -= pow2(order);
+        return pfn;
+    }
+
+    bool
+    isRegionFree(Pfn pfn, unsigned order) const
+    {
+        const std::uint64_t lo = pfn, hi = pfn + pow2(order);
+        std::uint64_t covered = 0;
+        for (unsigned o = 0; o <= MaxOrder; o++) {
+            auto it = lists_[o].lower_bound(
+                lo >= pow2(o) ? lo - pow2(o) + 1 : 0);
+            for (; it != lists_[o].end() && *it < hi; ++it) {
+                covered += std::min(*it + pow2(o), hi) - std::max(*it, lo);
+            }
+        }
+        return covered == hi - lo;
+    }
+
+    bool
+    allocRegion(Pfn pfn, unsigned order)
+    {
+        if (!isRegionFree(pfn, order))
+            return false;
+        const std::uint64_t hi = pfn + pow2(order);
+        for (unsigned o = 0; o <= MaxOrder; o++) {
+            auto &list = lists_[o];
+            if (o <= order) {
+                // Aligned blocks no larger than the region lie inside it.
+                list.erase(list.lower_bound(pfn), list.lower_bound(hi));
+                continue;
+            }
+            // At most one larger block contains the region.
+            auto it = list.upper_bound(pfn);
+            if (it == list.begin() || *std::prev(it) + pow2(o) <= pfn)
+                continue;
+            Pfn cur = *--it;
+            list.erase(it);
+            // Split it down, giving back the halves beside the region.
+            while (o-- > order) {
+                const Pfn high = cur + pow2(o);
+                if (pfn >= high) {
+                    lists_[o].insert(cur);
+                    cur = high;
+                } else {
+                    lists_[o].insert(high);
+                }
+            }
+            break;
+        }
+        freeFrames_ -= pow2(order);
+        return true;
+    }
+
+    void
+    free(Pfn pfn, unsigned order)
+    {
+        freeFrames_ += pow2(order);
+        for (; order < MaxOrder; order++) {
+            const Pfn buddy = pfn ^ pow2(order);
+            if (lists_[order].erase(buddy) == 0)
+                break;
+            pfn &= buddy;
+        }
+        lists_[order].insert(pfn);
+    }
+
+    std::uint64_t freeFrames() const { return freeFrames_; }
+
+    std::optional<unsigned>
+    largestFreeOrder() const
+    {
+        for (unsigned o = MaxOrder + 1; o-- > 0;) {
+            if (!lists_[o].empty())
+                return o;
+        }
+        return std::nullopt;
+    }
+
+    std::uint64_t
+    freeBlocksAt(unsigned order) const
+    {
+        return lists_[order].size();
+    }
+
+  private:
+    std::vector<std::set<Pfn>> lists_;
+    std::uint64_t freeFrames_ = 0;
+};
 
 } // anonymous namespace
 
@@ -60,6 +199,17 @@ TEST(Buddy, ConsecutiveSuperpageAllocationsAreContiguous)
         }
         prev = pfn;
     }
+}
+
+TEST(Buddy, LowestFreeFrameSkipsAFullGigabyte)
+{
+    // A whole 1GB of allocated frames empties every summary word over
+    // it, so the find-first-set walk must go round them.
+    BuddyAllocator buddy((2ULL << 18) + 5);
+    ASSERT_EQ(buddy.alloc(BuddyAllocator::MaxOrder), Pfn{0});
+    EXPECT_EQ(buddy.alloc(0), Pfn{1} << 18);
+    buddy.free(0, BuddyAllocator::MaxOrder);
+    EXPECT_EQ(buddy.alloc(0), Pfn{0});
 }
 
 TEST(Buddy, AlignmentInvariant)
@@ -170,23 +320,87 @@ TEST(Buddy, AllocRegionMidSplitPreservesAccounting)
     EXPECT_EQ(*next, 1536u);
 }
 
-TEST(Buddy, FragmentationIndex)
-{
-    BuddyAllocator buddy(1 << 12);
-    EXPECT_DOUBLE_EQ(buddy.fragmentationIndex(Order2M), 0.0);
-    // Pin every even 4KB frame of the first 2MB: free memory in that
-    // region is unusable for 2MB blocks.
-    for (int i = 0; i < 1024; i += 2)
-        ASSERT_TRUE(buddy.allocRegion(i, 0));
-    double frag = buddy.fragmentationIndex(Order2M);
-    EXPECT_GT(frag, 0.0);
-    EXPECT_LE(frag, 1.0);
-}
-
 TEST(BuddyDeathTest, MisalignedFreePanics)
 {
     BuddyAllocator buddy(1 << 12);
     EXPECT_DEATH(buddy.free(1, Order2M), "misaligned");
+}
+
+TEST(BuddyDeathTest, DoubleFreeAfterMergePanics)
+{
+    BuddyAllocator buddy(1024);
+    auto pfn = buddy.alloc(0);
+    ASSERT_TRUE(pfn.has_value());
+    buddy.free(*pfn, 0);
+    // The frame has merged back into a larger free block; freeing it
+    // again must still be caught.
+    EXPECT_DEATH(buddy.free(*pfn, 0), "double free");
+}
+
+TEST(BuddySpec, MatchesListBuddyOnRandomStreams)
+{
+    // Frame counts that are not powers of two, the last spanning three
+    // 1GB blocks plus a ragged tail.
+    const std::uint64_t frame_counts[] = {
+        1, 1000, 4097, (1ULL << 18) + 1, 3 * (1ULL << 18) + 12345};
+    for (std::uint64_t frames : frame_counts) {
+        SCOPED_TRACE(frames);
+        BuddyAllocator buddy(frames);
+        ListBuddy spec(frames);
+        Rng rng(frames);
+        std::vector<std::pair<Pfn, unsigned>> owned;
+        for (int step = 0; step < 4000; step++) {
+            SCOPED_TRACE(step);
+            // Half small orders, so memory fragments, with every
+            // order up to 1GB in the mix.
+            const unsigned order =
+                rng.chance(0.5) ? rng.nextBounded(4)
+                                : rng.nextBounded(BuddyAllocator::MaxOrder + 1);
+            // Alloc-heavy phases fill memory up, free-heavy ones merge
+            // it back.
+            const double fill = (step / 500) % 2 == 0 ? 0.6 : 0.25;
+            const double op = rng.nextDouble();
+            if (op < fill) {
+                auto got = buddy.alloc(order);
+                ASSERT_EQ(got, spec.alloc(order));
+                if (got)
+                    owned.emplace_back(*got, order);
+            } else if (op < fill + 0.15) {
+                // Any aligned block, including ones past the end.
+                const Pfn pfn = rng.nextBounded((frames >> order) + 2)
+                                << order;
+                ASSERT_EQ(buddy.isRegionFree(pfn, order),
+                          spec.isRegionFree(pfn, order));
+                const bool got = buddy.allocRegion(pfn, order);
+                ASSERT_EQ(got, spec.allocRegion(pfn, order));
+                if (got)
+                    owned.emplace_back(pfn, order);
+            } else if (!owned.empty()) {
+                // Free a random block whole or one piece of it, as
+                // memhog and demotion free single frames of larger
+                // allocations.
+                const std::size_t idx = rng.nextBounded(owned.size());
+                auto [pfn, o] = owned[idx];
+                owned[idx] = owned.back();
+                owned.pop_back();
+                while (o > 0 && rng.chance(0.5)) {
+                    o--;
+                    Pfn keep = pfn + (1ULL << o);
+                    if (rng.chance(0.5))
+                        std::swap(pfn, keep);
+                    owned.emplace_back(keep, o);
+                }
+                buddy.free(pfn, o);
+                spec.free(pfn, o);
+            }
+            ASSERT_EQ(buddy.freeFrames(), spec.freeFrames());
+            ASSERT_EQ(buddy.largestFreeOrder(), spec.largestFreeOrder());
+            for (unsigned o = 0; o <= BuddyAllocator::MaxOrder; o++) {
+                ASSERT_EQ(buddy.freeBlocksAt(o), spec.freeBlocksAt(o))
+                    << "order " << o;
+            }
+        }
+    }
 }
 
 TEST(PhysMem, AllocTagAndFree)

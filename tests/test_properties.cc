@@ -257,8 +257,9 @@ fuzzEntryDirty(BaseTlb &tlb, Arena &arena, std::uint64_t seed,
     }
     for (VAddr page : arena.pages) {
         auto result = tlb.lookup(page, false);
-        if (result.hit)
+        if (result.hit) {
             ASSERT_NO_FATAL_FAILURE(expectSound(page, result));
+        }
     }
 }
 

@@ -329,8 +329,9 @@ TEST(Pwc, RepromotionShootdownDropsRetiredLeafTable)
 
     // No stale shortcut into the freed table frame survives ...
     auto after = walker.pwc().probe(region + 0x1000);
-    if (after.has_value())
+    if (after.has_value()) {
         EXPECT_NE(after->second, stale->second);
+    }
     // ... and a fresh walk sees the re-promoted superpage.
     auto walk = walker.walk(region + 0x1000, false);
     ASSERT_FALSE(walk.pageFault());
