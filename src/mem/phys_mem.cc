@@ -8,7 +8,8 @@ namespace mixtlb::mem
 
 PhysMem::PhysMem(std::uint64_t bytes)
     : bytes_(bytes), buddy_(bytes >> PageShift4K),
-      frameUse_(bytes >> PageShift4K, FrameUse::Free)
+      frameUse_(bytes >> PageShift4K, FrameUse::Free),
+      data_(bytes >> PageShift4K)
 {
     fatal_if(bytes == 0 || (bytes & (PageBytes4K - 1)) != 0,
              "physical memory size must be a nonzero multiple of 4KB");
@@ -36,8 +37,7 @@ void
 PhysMem::freeFrames(Pfn pfn, unsigned order)
 {
     tagFrames(pfn, order, FrameUse::Free);
-    for (std::uint64_t i = 0; i < pow2(order); i++)
-        data_.erase(pfn + i);
+    data_.clear(pfn, pow2(order));
     buddy_.free(pfn, order);
 }
 
@@ -99,11 +99,10 @@ std::uint64_t
 PhysMem::read64(PAddr paddr) const
 {
     panic_if(paddr & 7, "unaligned read64");
-    Pfn pfn = paddr >> PageShift4K;
-    auto it = data_.find(pfn);
-    if (it == data_.end())
+    const auto *frame = data_.find(paddr >> PageShift4K);
+    if (!frame || !*frame)
         return 0;
-    return (*it->second)[(paddr & (PageBytes4K - 1)) >> 3];
+    return (**frame)[(paddr & (PageBytes4K - 1)) >> 3];
 }
 
 void
@@ -112,13 +111,10 @@ PhysMem::write64(PAddr paddr, std::uint64_t value)
     panic_if(paddr & 7, "unaligned write64");
     Pfn pfn = paddr >> PageShift4K;
     panic_if(pfn >= frameUse_.size(), "write64 past end of memory");
-    auto it = data_.find(pfn);
-    if (it == data_.end()) {
-        auto frame = std::make_unique<FrameData>();
-        frame->fill(0);
-        it = data_.emplace(pfn, std::move(frame)).first;
-    }
-    (*it->second)[(paddr & (PageBytes4K - 1)) >> 3] = value;
+    auto &frame = data_.at(pfn);
+    if (!frame)
+        frame = std::make_unique<FrameData>(); // value-initialised: zeros
+    (*frame)[(paddr & (PageBytes4K - 1)) >> 3] = value;
 }
 
 } // namespace mixtlb::mem

@@ -14,11 +14,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
 #include "mem/buddy_allocator.hh"
+#include "mem/frame_table.hh"
 
 namespace mixtlb::mem
 {
@@ -90,8 +90,8 @@ class PhysMem
     std::uint64_t bytes_;
     BuddyAllocator buddy_;
     std::vector<FrameUse> frameUse_;
-    /** Sparse backing store, indexed by frame number. */
-    std::unordered_map<Pfn, std::unique_ptr<FrameData>> data_;
+    /** Sparse backing store: a frame's words, once first written. */
+    FrameTable<std::unique_ptr<FrameData>> data_;
 
     void tagFrames(Pfn pfn, unsigned order, FrameUse use);
 };

@@ -19,7 +19,6 @@
 #define MIXTLB_OS_MEMHOG_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.hh"
@@ -67,6 +66,10 @@ class Memhog : public MovableOwner
 
     // MovableOwner: compaction moved one of our frames.
     void relocate(std::uint64_t tag, Pfn from, Pfn to) override;
+    bool holdsMovable(std::uint64_t tag, Pfn pfn) const override
+    {
+        return tag < movable_.size() && movable_[tag] == pfn;
+    }
 
   private:
     MemoryManager &mm_;

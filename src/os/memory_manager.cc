@@ -9,7 +9,8 @@ namespace mixtlb::os
 
 MemoryManager::MemoryManager(mem::PhysMem &mem, stats::StatGroup *parent,
                              CompactionParams params)
-    : mem_(mem), params_(params), rng_(params.seed),
+    : mem_(mem), params_(params), movable_(mem.totalFrames()),
+      rng_(params.seed),
       stats_("mm", parent),
       directAllocs_(stats_.addCounter("direct_allocs",
           "contiguous allocations satisfied without compaction")),
@@ -68,17 +69,58 @@ void
 MemoryManager::registerMovable(Pfn pfn, MovableOwner *owner,
                                std::uint64_t tag)
 {
-    auto [it, inserted] = movable_.try_emplace(pfn, Movable{owner, tag});
-    panic_if(!inserted, "frame 0x%llx already registered movable",
+    Movable &entry = movable_.at(pfn);
+    panic_if(entry.owner, "frame 0x%llx already registered movable",
              (unsigned long long)pfn);
+    entry = Movable{owner, tag};
 }
 
 void
 MemoryManager::unregisterMovable(Pfn pfn)
 {
-    auto erased = movable_.erase(pfn);
-    panic_if(erased == 0, "frame 0x%llx was not movable",
+    Movable *entry = movable_.find(pfn);
+    panic_if(!entry || !entry->owner, "frame 0x%llx was not movable",
              (unsigned long long)pfn);
+    *entry = Movable{};
+}
+
+void
+MemoryManager::audit(contracts::AuditReport &report) const
+{
+    // regionMigratable reads an unregistered AppSmall frame as pinned,
+    // and compaction would migrate a registered frame of any kind, so
+    // the registry must cover exactly the AppSmall frames.
+    std::uint64_t mismatches = 0;
+    for (Pfn pfn = 0; pfn < mem_.totalFrames(); pfn++) {
+        const Movable *entry = movable_.find(pfn);
+        const bool registered = entry && entry->owner;
+        const bool app_small =
+            mem_.frameUse(pfn) == mem::FrameUse::AppSmall;
+        const bool held = !registered
+                          || entry->owner->holdsMovable(entry->tag, pfn);
+        if (registered == app_small && held)
+            continue;
+        if (mismatches++ >= 8) // a systematic drift floods the report
+            continue;
+        if (registered != app_small) {
+            MIX_AUDIT_CHECK(report, false,
+                            "frame 0x%llx is %s but %s",
+                            (unsigned long long)pfn,
+                            app_small ? "tagged AppSmall"
+                                      : "registered movable",
+                            app_small ? "not registered movable"
+                                      : "not tagged AppSmall");
+        } else {
+            MIX_AUDIT_CHECK(report, false,
+                            "frame 0x%llx is registered movable under "
+                            "tag 0x%llx, which its owner holds elsewhere",
+                            (unsigned long long)pfn,
+                            (unsigned long long)entry->tag);
+        }
+    }
+    MIX_AUDIT_CHECK(report, mismatches <= 8,
+                    "%llu further movable-registry mismatches",
+                    (unsigned long long)(mismatches - 8));
 }
 
 double
@@ -190,12 +232,14 @@ MemoryManager::regionMigratable(Pfn base, unsigned order,
         switch (mem_.frameUse(base + i)) {
           case mem::FrameUse::Free:
             break;
-          case mem::FrameUse::AppSmall:
-            // Movable iff registered (it always should be).
-            if (!movable_.count(base + i))
+          case mem::FrameUse::AppSmall: {
+            // Movable iff registered (it always is: see audit()).
+            const Movable *entry = movable_.find(base + i);
+            if (!entry || !entry->owner)
                 return false;
             allocated++;
             break;
+          }
           default:
             return false; // page tables, pinned, superpage frames
         }
@@ -245,8 +289,8 @@ MemoryManager::compact(unsigned order, mem::FrameUse use)
         bool failed = false;
         for (std::uint64_t i = 0; i < region && !failed; i++) {
             Pfn old_pfn = base + i;
-            auto it = movable_.find(old_pfn);
-            if (it == movable_.end())
+            Movable *slot = movable_.find(old_pfn);
+            if (!slot || !slot->owner)
                 continue; // was free, already claimed
             auto dest = mem_.allocFrames(0, mem::FrameUse::AppSmall);
             if (!dest) {
@@ -255,8 +299,8 @@ MemoryManager::compact(unsigned order, mem::FrameUse use)
             }
             panic_if(*dest >= base && *dest < base + region,
                      "migration destination inside the region");
-            Movable entry = it->second;
-            movable_.erase(it);
+            const Movable entry = *slot;
+            *slot = Movable{};
             registerMovable(*dest, entry.owner, entry.tag);
             entry.owner->relocate(entry.tag, old_pfn, *dest);
             // The vacated frame is now ours; mark it like the holes.

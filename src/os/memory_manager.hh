@@ -16,13 +16,14 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/contracts.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/frame_table.hh"
 #include "mem/phys_mem.hh"
 
 namespace mixtlb::os
@@ -43,6 +44,12 @@ class MovableOwner
      * must update its mapping; the physical copy is implicit.
      */
     virtual void relocate(std::uint64_t tag, Pfn from, Pfn to) = 0;
+
+    /**
+     * Is @p pfn the frame this owner holds under @p tag? The registry
+     * audit asks it of every movable frame, so it must be cheap.
+     */
+    virtual bool holdsMovable(std::uint64_t tag, Pfn pfn) const = 0;
 };
 
 struct CompactionParams
@@ -121,6 +128,13 @@ class MemoryManager
                                        bool allow_compaction,
                                        bool allow_reclaim = true);
 
+    /**
+     * Structural audit of the movable registry: a frame is registered
+     * iff PhysMem tags it AppSmall, and its owner holds it under the
+     * registered tag.
+     */
+    void audit(contracts::AuditReport &report) const;
+
     /** Free memory as a fraction of total memory. */
     double freeFraction() const;
 
@@ -133,15 +147,18 @@ class MemoryManager
     stats::StatGroup &statGroup() { return stats_; }
 
   private:
+    /** A registry entry; a null owner means "not movable". */
     struct Movable
     {
-        MovableOwner *owner;
-        std::uint64_t tag;
+        MovableOwner *owner = nullptr;
+        std::uint64_t tag = 0;
+
+        bool operator==(const Movable &) const = default;
     };
 
     mem::PhysMem &mem_;
     CompactionParams params_;
-    std::unordered_map<Pfn, Movable> movable_;
+    mem::FrameTable<Movable> movable_;
 
     /** Reclaimers in registration order (determinism). */
     std::vector<std::pair<const void *, Reclaimer>> reclaimers_;

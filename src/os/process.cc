@@ -28,6 +28,7 @@ Process::Process(MemoryManager &mm, const ProcessParams &params,
                  stats::StatGroup *parent)
     : mm_(mm), params_(params), pageTable_(mm.phys()),
       nextMmap_(alignUp(params.mmapBase, PageBytes1G)),
+      ownedFrames_(mm.phys().totalFrames()),
       stats_(params.name, parent),
       faults4k_(stats_.addCounter("faults_4k", "4KB page faults")),
       faults2m_(stats_.addCounter("faults_2m", "2MB page faults")),
@@ -59,13 +60,14 @@ Process::~Process()
 {
     mm_.removeReclaimer(this);
     // Free every owned frame; unregister movable small pages first.
-    for (auto [pfn, order] : ownedFrames_) {
+    ownedFrames_.forEach([this](Pfn pfn, std::uint8_t slot) {
+        const unsigned order = slot - 1;
         if (order == 0 &&
             mm_.phys().frameUse(pfn) == mem::FrameUse::AppSmall) {
             mm_.unregisterMovable(pfn);
         }
         mm_.phys().freeFrames(pfn, order);
-    }
+    });
     for (Pfn pfn : pool2m_)
         mm_.phys().freeFrames(pfn, mem::Order2M);
     for (Pfn pfn : pool1g_)
@@ -215,7 +217,7 @@ Process::faultSmall(VAddr vaddr)
         ++demoteRescues_;
     VAddr vbase = pageBase(vaddr, PageSize::Size4K);
     mm_.registerMovable(*pfn, this, vbase);
-    ownedFrames_.emplace(*pfn, 0);
+    own(*pfn, 0);
     pageTable_.map(vbase, *pfn << PageShift4K, PageSize::Size4K);
     ++faults4k_;
     ++resident4k_;
@@ -238,7 +240,7 @@ Process::faultThp(VAddr vaddr)
         if (pfn) {
             if (mm_.compactionSuccessCount() > compactions)
                 ++compactionRescues_;
-            ownedFrames_.emplace(*pfn, mem::Order2M);
+            own(*pfn, mem::Order2M);
             pageTable_.map(region, *pfn << PageShift4K, PageSize::Size2M);
             ++faults2m_;
             ++resident2m_;
@@ -262,7 +264,7 @@ Process::faultPool2m(VAddr vaddr)
     if (eligible && !pool2m_.empty()) {
         Pfn pfn = pool2m_.front();
         pool2m_.pop_front();
-        ownedFrames_.emplace(pfn, mem::Order2M);
+        own(pfn, mem::Order2M);
         pageTable_.map(region, pfn << PageShift4K, PageSize::Size2M);
         ++faults2m_;
         ++resident2m_;
@@ -284,7 +286,7 @@ Process::faultPool1g(VAddr vaddr)
     if (eligible && !pool1g_.empty()) {
         Pfn pfn = pool1g_.front();
         pool1g_.pop_front();
-        ownedFrames_.emplace(pfn, mem::Order1G);
+        own(pfn, mem::Order1G);
         pageTable_.map(region, pfn << PageShift4K, PageSize::Size1G);
         ++faults1g_;
         ++resident1g_;
@@ -319,7 +321,7 @@ Process::faultReservation(VAddr vaddr)
             if (block) {
                 if (mm_.compactionSuccessCount() > compactions)
                     ++compactionRescues_;
-                ownedFrames_.emplace(*block, mem::Order2M);
+                own(*block, mem::Order2M);
                 it = reservations_
                          .emplace(region, Reservation{*block, 0})
                          .first;
@@ -379,13 +381,11 @@ Process::demote2m(VAddr region)
     const Pfn base = static_cast<Pfn>(xlate->pbase >> PageShift4K);
     // The one order-9 block becomes 512 individually owned, movable
     // 4KB frames: cold reclaim and compaction now work per frame.
-    auto own = ownedFrames_.find(base);
-    panic_if(own == ownedFrames_.end() || own->second != mem::Order2M,
+    panic_if(!disown(base, mem::Order2M),
              "demoting a 2MB leaf whose block we do not own");
-    ownedFrames_.erase(own);
     mm_.phys().retagFrames(base, mem::Order2M, mem::FrameUse::AppSmall);
     for (std::uint64_t i = 0; i < Frames2M; i++) {
-        ownedFrames_.emplace(base + i, 0);
+        own(base + i, 0);
         mm_.registerMovable(base + i, this, region + i * PageBytes4K);
     }
     // One superpage-sized shootdown drops the stale 2MB entry from
@@ -416,12 +416,10 @@ Process::demote1g(VAddr region)
     if (!pageTable_.splitLeaf(region))
         return false;
     const Pfn base = static_cast<Pfn>(xlate->pbase >> PageShift4K);
-    auto own = ownedFrames_.find(base);
-    panic_if(own == ownedFrames_.end() || own->second != mem::Order1G,
+    panic_if(!disown(base, mem::Order1G),
              "demoting a 1GB leaf whose block we do not own");
-    ownedFrames_.erase(own);
     for (std::uint64_t i = 0; i < Frames2M; i++)
-        ownedFrames_.emplace(base + i * Frames2M, mem::Order2M);
+        own(base + i * Frames2M, mem::Order2M);
     fireInvalidate(region, PageSize::Size1G);
     // 512 2MB leaves now live under the region (their frames stay
     // AppHuge); the side-table entry blocks a 1GB re-fault over the
@@ -474,8 +472,7 @@ Process::dropSmallPage(VAddr vbase, Pfn pfn)
     panic_if(!removed, "reclaim of an unmapped page");
     fireInvalidate(vbase, PageSize::Size4K);
     mm_.unregisterMovable(pfn);
-    auto erased = ownedFrames_.erase(pfn);
-    panic_if(erased == 0, "reclaim of a frame we do not own");
+    panic_if(!disown(pfn, 0), "reclaim of a frame we do not own");
     mm_.phys().freeFrames(pfn, 0);
     auto small = smallIn2m_.find(pageBase(vbase, PageSize::Size2M));
     panic_if(small == smallIn2m_.end() || small->second == 0,
@@ -549,8 +546,8 @@ Process::abandonReservation(VAddr region)
              "abandoning a region with no reservation");
     const Pfn block = it->second.block;
     const std::uint32_t touched = it->second.touched;
-    auto erased = ownedFrames_.erase(block);
-    panic_if(erased == 0, "reservation block we do not own");
+    panic_if(!disown(block, mem::Order2M),
+             "reservation block we do not own");
     std::uint64_t freed = 0;
     for (std::uint64_t slot = 0; slot < Frames2M; slot++) {
         const VAddr vbase = region + slot * PageBytes4K;
@@ -561,7 +558,7 @@ Process::abandonReservation(VAddr region)
             // 4KB page.
             mm_.phys().retagFrames(pfn, 0, mem::FrameUse::AppSmall);
             mm_.registerMovable(pfn, this, vbase);
-            ownedFrames_.emplace(pfn, 0);
+            own(pfn, 0);
         } else {
             mm_.phys().freeFrames(pfn, 0);
             freed++;
@@ -682,8 +679,7 @@ Process::tryRepromote2m(VAddr region)
         bool removed = pageTable_.unmap(vbase);
         panic_if(!removed, "re-promotion lost a mapped slot");
         mm_.unregisterMovable(pfn);
-        auto erased = ownedFrames_.erase(pfn);
-        panic_if(erased == 0, "re-promotion of a frame we do not own");
+        panic_if(!disown(pfn, 0), "re-promotion of a frame we do not own");
         if (!contiguous)
             mm_.phys().freeFrames(pfn, 0); // copied into the new block
     }
@@ -697,7 +693,7 @@ Process::tryRepromote2m(VAddr region)
         mm_.phys().retagFrames(dest, mem::Order2M,
                                mem::FrameUse::AppHuge);
     }
-    ownedFrames_.emplace(dest, mem::Order2M);
+    own(dest, mem::Order2M);
     smallIn2m_.erase(region);
     auto sub = subIn1g_.find(pageBase(region, PageSize::Size1G));
     if (sub != subIn1g_.end())
@@ -761,12 +757,6 @@ Process::audit(contracts::AuditReport &report) const
     std::unordered_map<VAddr, std::uint32_t> sub_in_1g;
     std::map<VAddr, PageSize> super;
 
-    std::vector<std::pair<Pfn, std::uint64_t>> owned; // [base, end)
-    owned.reserve(ownedFrames_.size());
-    for (auto [pfn, order] : ownedFrames_)
-        owned.emplace_back(pfn, pfn + pow2(order));
-    std::sort(owned.begin(), owned.end());
-
     std::uint64_t stray_leaves = 0;
     pageTable_.forEachLeaf([&](const pt::Translation &xlate) {
         const std::uint64_t bytes = pageBytes(xlate.size);
@@ -785,14 +775,17 @@ Process::audit(contracts::AuditReport &report) const
 
         const bool in_vma = inVma(xlate.vbase)
                             && inVma(xlate.vbase + bytes - 1);
+        // Owned blocks are naturally aligned and disjoint, so the one
+        // holding the leaf's first frame starts at an aligned base.
         const Pfn first = xlate.pbase >> PageShift4K;
         const std::uint64_t frames = bytes >> PageShift4K;
-        auto it = std::upper_bound(
-            owned.begin(), owned.end(), first,
-            [](Pfn v, const auto &iv) { return v < iv.first; });
-        const bool backed = it != owned.begin()
-                            && ((--it, first >= it->first
-                                        && first + frames <= it->second));
+        bool backed = false;
+        for (unsigned order = 0; order <= mem::Order1G && !backed;
+             order++) {
+            const Pfn base = alignDown(first, pow2(order));
+            backed = owns(base, order)
+                     && first + frames <= base + pow2(order);
+        }
         if ((!in_vma || !backed) && stray_leaves++ < 8) {
             MIX_AUDIT_CHECK(report, false,
                             "%s leaf at 0x%llx -> 0x%llx is %s%s%s",
@@ -887,10 +880,7 @@ Process::audit(contracts::AuditReport &report) const
                         "the tree holds %u 4KB pages there",
                         (unsigned long long)region, res.touched,
                         actual);
-        auto own = ownedFrames_.find(res.block);
-        MIX_AUDIT_CHECK(report,
-                        own != ownedFrames_.end()
-                            && own->second == mem::Order2M,
+        MIX_AUDIT_CHECK(report, owns(res.block, mem::Order2M),
                         "reserved block 0x%llx is not owned as an "
                         "order-%u allocation",
                         (unsigned long long)res.block, mem::Order2M);
@@ -936,11 +926,43 @@ Process::relocate(std::uint64_t tag, Pfn from, Pfn to)
 {
     VAddr vbase = tag;
     pageTable_.remap(vbase, to << PageShift4K);
-    auto erased = ownedFrames_.erase(from);
-    panic_if(erased == 0, "relocate of frame we do not own");
-    ownedFrames_.emplace(to, 0);
+    panic_if(!disown(from, 0), "relocate of frame we do not own");
+    own(to, 0);
     ++migrations_;
     fireInvalidate(vbase, PageSize::Size4K);
+}
+
+bool
+Process::holdsMovable(std::uint64_t tag, Pfn pfn) const
+{
+    const auto xlate = pageTable_.translate(tag);
+    return owns(pfn, 0) && xlate && xlate->size == PageSize::Size4K
+           && xlate->pfn4k() == pfn;
+}
+
+void
+Process::own(Pfn pfn, unsigned order)
+{
+    std::uint8_t &slot = ownedFrames_.at(pfn);
+    panic_if(slot != 0, "frame 0x%llx owned twice",
+             (unsigned long long)pfn);
+    slot = static_cast<std::uint8_t>(order + 1);
+}
+
+bool
+Process::disown(Pfn pfn, unsigned order)
+{
+    if (!owns(pfn, order))
+        return false;
+    ownedFrames_.at(pfn) = 0;
+    return true;
+}
+
+bool
+Process::owns(Pfn pfn, unsigned order) const
+{
+    const std::uint8_t *slot = ownedFrames_.find(pfn);
+    return slot && *slot == order + 1;
 }
 
 } // namespace mixtlb::os

@@ -21,6 +21,7 @@
 #include "common/contracts.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/frame_table.hh"
 #include "os/memory_manager.hh"
 #include "pt/page_table.hh"
 
@@ -101,6 +102,7 @@ class Process : public MovableOwner
 
     // MovableOwner: compaction moved one of our small pages.
     void relocate(std::uint64_t tag, Pfn from, Pfn to) override;
+    bool holdsMovable(std::uint64_t tag, Pfn pfn) const override;
 
     /**
      * Free up to @p want frames under memory pressure: abandon unused
@@ -166,8 +168,11 @@ class Process : public MovableOwner
     std::deque<Pfn> pool2m_;
     std::deque<Pfn> pool1g_;
 
-    /** Frames we own, so teardown can free them: pfn -> order. */
-    std::unordered_map<Pfn, unsigned> ownedFrames_;
+    /**
+     * Blocks we own, so teardown can free them: order + 1 at each
+     * block's base frame, 0 elsewhere.
+     */
+    mem::FrameTable<std::uint8_t> ownedFrames_;
 
     /** 4KB mappings per 2MB-aligned region (blocks THS collapse). */
     std::unordered_map<VAddr, std::uint32_t> smallIn2m_;
@@ -249,6 +254,13 @@ class Process : public MovableOwner
     std::uint64_t abandonReservation(VAddr region);
     /** Rebuild the 2MB leaf at @p region if enough slots are mapped. */
     bool tryRepromote2m(VAddr region);
+
+    /** Record the 2^order block at @p pfn as ours. */
+    void own(Pfn pfn, unsigned order);
+    /** Forget the 2^order block at @p pfn; false if it is not ours. */
+    bool disown(Pfn pfn, unsigned order);
+    /** Is the 2^order block at @p pfn ours? */
+    bool owns(Pfn pfn, unsigned order) const;
 
     void fireInvalidate(VAddr vbase, PageSize size);
     void reservePools();

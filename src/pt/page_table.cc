@@ -178,12 +178,7 @@ PageTable::reclaimRetiredFrames()
 {
     if (retiredFrames_.empty())
         return 0;
-    // Sorted release so the buddy free lists end up byte-identical no
-    // matter what order the hash set iterates in.
-    std::vector<Pfn> retired(retiredFrames_.begin(),
-                             retiredFrames_.end());
-    std::sort(retired.begin(), retired.end());
-    for (Pfn pfn : retired)
+    for (Pfn pfn : retiredFrames_)
         mem_.freeFrames(pfn, 0);
     std::erase_if(tableFrames_, [this](Pfn pfn) {
         return retiredFrames_.count(pfn) > 0;

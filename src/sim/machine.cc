@@ -118,6 +118,7 @@ Machine::auditAll() const
 {
     contracts::AuditReport report(params_.name);
     mem_.audit(report);
+    mm_.audit(report);
     proc_->audit(report); // covers the page table's radix invariants
     hier_->l1().audit(report);
     hier_->l2().audit(report);
@@ -299,6 +300,7 @@ VirtMachine::auditAll() const
 {
     contracts::AuditReport report(params_.name);
     hostMem_.audit(report);
+    hostMm_.audit(report);
     for (const auto &vm : vms_)
         vm->audit(report);
     for (const auto &proc : guestProcs_)

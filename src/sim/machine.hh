@@ -81,10 +81,10 @@ class Machine
     void startMeasurement();
 
     /**
-     * Run every structural auditor (physical memory, OS process, page
-     * table, both TLB levels) and exit fatally on any violation. Runs
-     * automatically at phase boundaries when paranoia >= 1 and
-     * periodically mid-run at paranoia >= 3.
+     * Run every structural auditor (physical memory, movable registry,
+     * OS process, page table, both TLB levels) and exit fatally on any
+     * violation. Runs automatically at phase boundaries when paranoia
+     * >= 1 and periodically mid-run at paranoia >= 3.
      */
     void auditAll() const;
 
@@ -152,7 +152,10 @@ class VirtMachine
     /** Zero all statistics; metrics cover only what follows. */
     void startMeasurement();
 
-    /** Audit host memory, every VM (EPT + guest), and every vCPU TLB. */
+    /**
+     * Audit host memory and its movable registry, every VM (EPT +
+     * guest), and every vCPU TLB.
+     */
     void auditAll() const;
 
     /** Guest-visible page-size distribution of one VM's process. */

@@ -71,7 +71,9 @@ constexpr Attributed attributedStats[] = {
 
 MultiMachine::ProcStats::ProcStats(unsigned index,
                                    stats::StatGroup *parent)
-    : group("p" + std::to_string(index), parent),
+    // Not "p" + std::to_string(index): GCC 12 at -O3 reports a false
+    // -Wrestrict on that operator+.
+    : group(std::string("p").append(std::to_string(index)), parent),
       slices(group.addCounter("slices", "scheduling slices executed"))
 {
     static_assert(std::size(attributedStats) == NumAttributed);
@@ -281,6 +283,7 @@ MultiMachine::auditAll() const
 {
     contracts::AuditReport report(params_.name);
     mem_.audit(report);
+    mm_.audit(report);
     for (const auto &proc : procs_)
         proc->audit(report);
     hier_->l1().audit(report);

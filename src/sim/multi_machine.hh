@@ -105,7 +105,10 @@ class MultiMachine
     /** Reset statistics after warmup. */
     void startMeasurement();
 
-    /** Run every structural auditor (all processes + TLBs + memory). */
+    /**
+     * Run every structural auditor (all processes + TLBs + memory and
+     * its movable registry).
+     */
     void auditAll() const;
 
     /** Machine-wide metrics over the measured window. */

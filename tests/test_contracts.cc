@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/contracts.hh"
 #include "common/intmath.hh"
 #include "mem/buddy_allocator.hh"
 #include "mem/phys_mem.hh"
+#include "os/memory_manager.hh"
+#include "os/process.hh"
 #include "pt/page_table.hh"
 #include "pt/pte.hh"
 #include "pt/walker.hh"
@@ -98,7 +102,7 @@ TEST(Contracts, ParanoiaLevelRoundTrips)
 
 TEST(Contracts, ExpectPassesSilently)
 {
-    MIX_EXPECT(1 + 1 == 2);
+    MIX_EXPECT(1 + 1 == 2, "arithmetic holds");
     MIX_EXPECT(true, "never printed %d", 42);
 }
 
@@ -390,6 +394,69 @@ TEST(PhysMemAudit, FreeListAndUsageTagDisagreementIsReported)
     pm.audit(report);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(report.mentions("tagged")) << report.summary();
+}
+
+/** One 4KB-policy process with two pages faulted in. */
+struct RegistryFixture : ::testing::Test
+{
+    mem::PhysMem pm{64 * MiB};
+    os::MemoryManager mm{pm, nullptr};
+    os::Process proc{mm, smallOnly(), nullptr};
+    VAddr va = proc.mmap(2 * PageBytes4K);
+    VAddr vb = va + PageBytes4K;
+
+    static os::ProcessParams
+    smallOnly()
+    {
+        os::ProcessParams params;
+        params.policy = os::PagePolicy::SmallOnly;
+        return params;
+    }
+
+    Pfn
+    frameOf(VAddr vaddr)
+    {
+        proc.touch(vaddr);
+        return proc.pageTable().translate(vaddr)->pfn4k();
+    }
+};
+
+TEST_F(RegistryFixture, CleanRegistryAuditsClean)
+{
+    frameOf(va);
+    frameOf(vb);
+    contracts::AuditReport report;
+    mm.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST_F(RegistryFixture, UnregisteredAppSmallFrameIsReported)
+{
+    const Pfn pfn = frameOf(va);
+    mm.unregisterMovable(pfn); // behind the owner's back
+    contracts::AuditReport report;
+    mm.audit(report);
+    EXPECT_EQ(report.numViolations(), 1u) << report.summary();
+    char want[64];
+    std::snprintf(want, sizeof(want), "frame 0x%llx is tagged AppSmall",
+                  (unsigned long long)pfn);
+    EXPECT_TRUE(report.mentions(want)) << report.summary();
+    mm.registerMovable(pfn, &proc, va); // let teardown unregister it
+}
+
+TEST_F(RegistryFixture, EntryWithTheWrongTagIsReported)
+{
+    const Pfn pfn = frameOf(va);
+    frameOf(vb);
+    mm.unregisterMovable(pfn);
+    mm.registerMovable(pfn, &proc, vb); // vb lives in another frame
+    contracts::AuditReport report;
+    mm.audit(report);
+    char want[96];
+    std::snprintf(want, sizeof(want),
+                  "frame 0x%llx is registered movable under tag 0x%llx",
+                  (unsigned long long)pfn, (unsigned long long)vb);
+    EXPECT_TRUE(report.mentions(want)) << report.summary();
 }
 
 TEST(PageTableAudit, CleanTableAuditsClean)

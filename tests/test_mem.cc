@@ -10,12 +10,15 @@
 #include <iterator>
 #include <optional>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/intmath.hh"
 #include "common/random.hh"
 #include "mem/buddy_allocator.hh"
+#include "mem/frame_table.hh"
 #include "mem/phys_mem.hh"
 
 using namespace mixtlb;
@@ -401,6 +404,85 @@ TEST(BuddySpec, MatchesListBuddyOnRandomStreams)
             }
         }
     }
+}
+
+TEST(FrameTableSpec, MatchesHashMapOnRandomStreams)
+{
+    // One frame, one frame past a chunk, and a 64GB machine's 16M
+    // frames (whose directory alone is 32768 chunk pointers).
+    constexpr std::uint64_t Chunk = FrameTable<std::uint64_t>::ChunkFrames;
+    const std::uint64_t frame_counts[] = {1, Chunk + 1, 1ULL << 24};
+    for (std::uint64_t frames : frame_counts) {
+        SCOPED_TRACE(frames);
+        FrameTable<std::uint64_t> table(frames);
+        std::unordered_map<Pfn, std::uint64_t> spec;
+        std::unordered_set<std::uint64_t> written_chunks;
+        Rng rng(frames);
+        // Most pfns land next to a chunk edge (or the table's ends),
+        // so a large table stays cheap to compare in full each step.
+        std::vector<Pfn> anchors = {0, Chunk, frames - 1, frames};
+        for (int i = 0; i < 6; i++)
+            anchors.push_back(rng.nextBounded(frames / Chunk + 1) * Chunk);
+        auto pick = [&] {
+            if (rng.chance(0.05))
+                return rng.nextBounded(frames + 2);
+            const Pfn anchor = anchors[rng.nextBounded(anchors.size())];
+            const Pfn pfn = anchor + rng.nextBounded(5);
+            return pfn < 2 ? pfn : pfn - 2;
+        };
+        for (int step = 0; step < 1500; step++) {
+            SCOPED_TRACE(step);
+            const double op = rng.nextDouble();
+            const Pfn pfn = pick();
+            if (op < 0.45) {
+                if (pfn >= frames)
+                    continue;
+                const std::uint64_t value = 1 + rng.nextBounded(1000);
+                table.at(pfn) = value;
+                spec[pfn] = value;
+                written_chunks.insert(pfn / Chunk);
+            } else if (op < 0.7) {
+                const std::uint64_t n = 1 + rng.nextBounded(2 * Chunk);
+                const std::uint64_t end = std::min(pfn + n, frames);
+                if (pfn >= end)
+                    continue;
+                table.clear(pfn, end - pfn);
+                for (Pfn p = pfn; p < end; p++)
+                    spec.erase(p);
+            } else {
+                const std::uint64_t *got = table.find(pfn);
+                auto it = spec.find(pfn);
+                if (it == spec.end())
+                    ASSERT_TRUE(got == nullptr || *got == 0);
+                else
+                    ASSERT_TRUE(got != nullptr && *got == it->second);
+            }
+            // Chunks come from writes alone, never from lookups.
+            ASSERT_EQ(table.chunksAllocated(), written_chunks.size());
+            std::vector<std::pair<Pfn, std::uint64_t>> want(spec.begin(),
+                                                            spec.end());
+            std::sort(want.begin(), want.end());
+            std::vector<std::pair<Pfn, std::uint64_t>> got;
+            table.forEach([&](Pfn p, std::uint64_t value) {
+                got.emplace_back(p, value);
+            });
+            ASSERT_EQ(got, want); // contents, in ascending pfn order
+        }
+    }
+}
+
+TEST(PhysMem, FreedPageTableFrameInsideAGigabyteReadsZero)
+{
+    PhysMem mem(2 * GiB);
+    auto block = mem.allocFrames(Order1G, FrameUse::PageTable);
+    ASSERT_TRUE(block.has_value());
+    const Pfn pfn = *block + 3 * Frames2M + 7;
+    const PAddr addr = (pfn << PageShift4K) + 16;
+    mem.write64(addr, 0x1234);
+    ASSERT_EQ(mem.read64(addr), 0x1234u);
+    mem.freeFrames(*block, Order1G);
+    ASSERT_TRUE(mem.allocFramesAt(pfn, 0, FrameUse::PageTable));
+    EXPECT_EQ(mem.read64(addr), 0u);
 }
 
 TEST(PhysMem, AllocTagAndFree)

@@ -32,6 +32,13 @@ struct OsFixture : ::testing::Test
     MemoryManager mm{mem, &root};
 };
 
+/** A movable owner that holds whatever it is asked about. */
+struct NullOwner : MovableOwner
+{
+    void relocate(std::uint64_t, Pfn, Pfn) override {}
+    bool holdsMovable(std::uint64_t, Pfn) const override { return true; }
+};
+
 ProcessParams
 thpParams()
 {
@@ -138,6 +145,33 @@ TEST_F(OsFixture, MemhogRelocateKeepsRegistryConsistent)
     hog.release();
     mem.freeFrames(*pfn, mem::Order2M);
     EXPECT_EQ(mem.buddy().freeFrames(), mem.totalFrames());
+}
+
+TEST(MemoryManagerDeathTest, RegisteringAFrameTwicePanics)
+{
+    mem::PhysMem mem(64 * MiB);
+    MemoryManager mm(mem, nullptr);
+    NullOwner owner;
+    auto pfn = mem.allocFrames(0, mem::FrameUse::AppSmall);
+    ASSERT_TRUE(pfn.has_value());
+    mm.registerMovable(*pfn, &owner, 1);
+    EXPECT_DEATH(mm.registerMovable(*pfn, &owner, 2),
+                 "already registered movable");
+}
+
+TEST(MemoryManagerDeathTest, UnregisteringAnUnmovableFramePanics)
+{
+    mem::PhysMem mem(64 * MiB);
+    MemoryManager mm(mem, nullptr);
+    NullOwner owner;
+    auto pfn = mem.allocFrames(0, mem::FrameUse::AppSmall);
+    ASSERT_TRUE(pfn.has_value());
+    // Never registered, in a 2MB the registry has never touched.
+    EXPECT_DEATH(mm.unregisterMovable(*pfn), "was not movable");
+    // Registered once and unregistered already.
+    mm.registerMovable(*pfn, &owner, 1);
+    mm.unregisterMovable(*pfn);
+    EXPECT_DEATH(mm.unregisterMovable(*pfn), "was not movable");
 }
 
 TEST_F(OsFixture, MemhogUnmovableShareClaimsPageblocks)
